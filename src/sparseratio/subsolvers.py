@@ -3,12 +3,15 @@
 Both outer loops repeatedly minimize ``||x||_1 + alpha/2 ||x - c||^2`` over a
 simple set: a Euclidean ball for the moving-balls iterations, an affine set
 {x : Ax = b} for the noiseless basis-pursuit style iterations. The ball case
-reduces to a monotone scalar root-find in the multiplier; the affine case is
-solved by operator splitting with an exact final projection.
+is solved exactly: the multiplier is the root of a piecewise closed-form
+scalar equation, located by one sort of its breakpoints and a cumulative-sum
+sweep. The affine case is solved by operator splitting with an exact final
+projection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +28,6 @@ __all__ = [
     "prox_l1_affine",
     "least_norm_solution",
 ]
-
-_MU_CAP = 1e18
-_MAX_BISECT = 20_000
-_EPS = float(np.finfo(float).eps)
-
 
 class SubsolverError(RuntimeError):
     """A subproblem solver failed to reach its tolerance."""
@@ -98,29 +96,106 @@ class BallProxSolution:
     kkt_residual: float
 
 
+_UNIT_PAIR = np.array([[1.0], [-1.0]])
+
+
 def _ball_x_of_mu(c, s, alpha, mu):
     return soft_threshold((alpha * c + mu * s) / (alpha + mu), 1.0 / (alpha + mu))
 
 
 def _stationarity_residual(x, c, s, alpha, mu) -> float:
-    smooth = alpha * (x - c) + mu * (x - s)
-    per_coord = np.where(
-        x != 0.0,
-        np.abs(np.sign(x) + smooth),
-        np.maximum(0.0, np.abs(smooth) - 1.0),
-    )
-    return float(per_coord.max())
+    # a zero coordinate may take any subgradient in [-1, 1]
+    per_coord = (np.abs(alpha * (x - c) + mu * (x - s) + np.sign(x))
+                 - (x == 0.0))
+    return max(float(per_coord.max()), 0.0)
+
+
+def _segment_sums(active, sigma, u, s) -> tuple[float, float]:
+    """N = sum of (u_i - sigma_i)^2 over active i, S = sum of s_i^2 over
+    the rest."""
+    w = np.where(active, u - sigma, 0.0)
+    z = np.where(active, 0.0, s)
+    return float(w @ w), float(z @ z)
+
+
+def _ball_multiplier(c, s, R, alpha) -> float:
+    """Root of phi(mu) = ||x(mu) - s||^2 - R on mu > 0, given phi(0) > 0.
+
+    Coordinate i of x(mu) is nonzero (active) exactly when
+    |alpha c_i + mu s_i| > 1, and then x_i - s_i = (u_i - sigma_i)/(alpha + mu)
+    with u = alpha (c - s) and sigma_i the sign of alpha c_i + mu s_i. The
+    active set changes only at the breakpoints mu = (+-1 - alpha c_i)/s_i,
+    so between two consecutive ones phi(mu) = N/(alpha + mu)^2 + S - R,
+    with N summing (u_i - sigma_i)^2 over active coordinates and S summing
+    s_i^2 over the others. One sort of the positive breakpoints and a
+    cumulative sum of the changes to N and S give phi at every breakpoint;
+    the root lies on the first segment whose right end has phi <= 0.
+    """
+    n = c.size
+    a = alpha * c
+    u = a - alpha * s
+    sgn = np.sign(s)
+    sigma0 = np.sign(a)
+    # the state just right of mu = 0: a coordinate with |alpha c_i| = 1
+    # turns active at once if alpha c_i + mu s_i grows in magnitude
+    abs_a = np.abs(a)
+    active0 = (abs_a > 1.0) | ((abs_a == 1.0) & (sigma0 == sgn))
+
+    # events 0..n-1 cross alpha c_i + mu s_i = +1, events n..2n-1 cross -1;
+    # s_i = 0 gives no breakpoint
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bps = ((_UNIT_PAIR - a) / s).ravel()
+    events = np.flatnonzero((bps > 0.0) & (bps < np.inf))
+    order = events[np.argsort(bps[events])]
+    # crossing +1 turns a coordinate active when s_i > 0, crossing -1 when
+    # s_i < 0. Turning active adds (u_i -+ 1)^2 to N and takes s_i^2 out of
+    # S; turning inactive does the reverse.
+    signed_sq = sgn * s * s
+    d_N = np.concatenate((sgn * (u - 1.0) ** 2, -sgn * (u + 1.0) ** 2))[order]
+    d_S = np.concatenate((-signed_sq, signed_sq))[order]
+    N0, S0 = _segment_sums(active0, sigma0, u, s)
+    # phi at each breakpoint, from the state before that crossing
+    phi_right = ((N0 + (np.cumsum(d_N) - d_N)) / (alpha + bps[order]) ** 2
+                 + (np.cumsum(d_S) - d_S) + (S0 - R))
+    hits = np.flatnonzero(phi_right <= 0.0)
+    k = int(hits[0]) if hits.size else order.size
+    lo = float(bps[order[k - 1]]) if k > 0 else 0.0
+    hi = float(bps[order[k]]) if k < order.size else math.inf
+
+    # N and S of segment k summed directly rather than read off the running
+    # sums, whose cancellation error would swamp a radius R far below S.
+    # A coordinate crossed once has toggled; after any crossing its sign is
+    # the direction alpha c_i + mu s_i moves in, the sign of s_i.
+    crossed = np.zeros(2 * n, dtype=bool)
+    crossed[order[:k]] = True
+    plus, minus = crossed[:n], crossed[n:]
+    N, S = _segment_sums(active0 ^ plus ^ minus,
+                         np.where(plus | minus, sgn, sigma0), u, s)
+    if not R - S > 0.0:
+        raise SubsolverError(
+            f"ball prox root lost to cancellation: R = {R:.3e} does not "
+            f"exceed the inactive mass S = {S:.3e} on its segment"
+        )
+    return min(max(math.sqrt(N / (R - S)) - alpha, lo), hi)
 
 
 def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
-    """Solve a BallProxProblem to high accuracy.
+    """Solve a BallProxProblem exactly.
 
     The minimizer is x(mu) = soft_threshold((alpha c + mu s)/(alpha + mu),
     1/(alpha + mu)) for the unique multiplier mu >= 0 at which either the
     unconstrained prox (mu = 0) already lies in the ball, or
-    phi(mu) = ||x(mu) - s||^2 - R vanishes. phi is continuous and
-    nonincreasing, so the root is bracketed by doubling and then bisected
-    until |phi| <= tol * max(R, 1).
+    phi(mu) = ||x(mu) - s||^2 - R vanishes. phi is piecewise of the form
+    N/(alpha + mu)^2 + S - R between the breakpoints where a coordinate of
+    x(mu) becomes zero or nonzero, so one sort of the breakpoints and a
+    cumulative-sum sweep find the segment holding the root, and the root
+    there is mu = sqrt(N/(R - S)) - alpha in closed form. x(mu) is then
+    evaluated once.
+
+    tol bounds the constraint error of the returned point:
+    | ||x - s||^2 - R | <= tol * max(R, 1). A point that misses it, or a
+    non-finite multiplier or point (the data overflow at the scale of R),
+    raises SubsolverError.
 
     A degenerate ball (R = 0) pins the solution at x = s; the multiplier is
     not meaningful there and is reported as 0 with a zero residual.
@@ -138,49 +213,25 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
         kkt = _stationarity_residual(x0, c, s, alpha, 0.0)
         return BallProxSolution(x=x0, mu=0.0, active=False, kkt_residual=kkt)
 
+    mu = _ball_multiplier(c, s, R, alpha)
+    if not math.isfinite(mu):
+        raise SubsolverError(
+            "ball multiplier overflowed; R is vanishingly small relative "
+            "to the data"
+        )
+    x = _ball_x_of_mu(c, s, alpha, mu)
+    d = x - s
+    phi = float(d @ d) - R
+    if not math.isfinite(phi):
+        raise SubsolverError(f"ball prox point overflowed at mu = {mu:.6e}")
     tol_phi = tol * max(R, 1.0)
-
-    def phi(mu):
-        x = _ball_x_of_mu(c, s, alpha, mu)
-        d = x - s
-        return float(d @ d) - R, x
-
-    lo = 0.0
-    hi = alpha
-    val_hi, _ = phi(hi)
-    while val_hi > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > _MU_CAP:
-            raise SubsolverError(
-                "ball multiplier bracket exceeded cap; problem scaling is "
-                "pathological (R may be vanishingly small relative to the data)"
-            )
-        val_hi, _ = phi(hi)
-
-    # bisect to bracket collapse rather than stopping at the first
-    # |phi| <= tol_phi crossing: late outer iterations can shrink R many
-    # orders of magnitude below tol*max(R, 1), where a first-crossing exit
-    # returns the constraint surface unresolved
-    best_val, best_mu, best_x = np.inf, None, None
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val, x = phi(mid)
-        if abs(val) < abs(best_val):
-            best_val, best_mu, best_x = val, mid, x
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _EPS * hi:
-            break
-    if best_mu is not None and abs(best_val) <= tol_phi:
-        kkt = _stationarity_residual(best_x, c, s, alpha, best_mu)
-        return BallProxSolution(x=best_x, mu=best_mu, active=True,
-                                kkt_residual=kkt)
-    raise SubsolverError(
-        f"ball prox bisection stalled: |phi| stayed above {tol_phi:.3e}"
-    )
+    if not abs(phi) <= tol_phi:
+        raise SubsolverError(
+            f"ball prox missed the sphere: |phi| = {abs(phi):.3e} > "
+            f"{tol_phi:.3e} at mu = {mu:.6e}"
+        )
+    kkt = _stationarity_residual(x, c, s, alpha, mu)
+    return BallProxSolution(x=x, mu=mu, active=True, kkt_residual=kkt)
 
 
 def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:

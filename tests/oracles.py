@@ -57,6 +57,52 @@ def prox_ball_oracle_1d(c: float, s: float, R: float, alpha: float) -> float:
     return min(cands, key=f)
 
 
+def ball_point_oracle(c, s, alpha: float, mu: float):
+    """x(mu) = soft((alpha c + mu s)/(alpha + mu), 1/(alpha + mu)), the
+    minimizer of the ball prox Lagrangian at multiplier mu."""
+    t = 1.0 / (alpha + mu)
+    z = (alpha * np.asarray(c, dtype=float) + mu * np.asarray(s, dtype=float)) * t
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+def bisection_prox_ball(c, s, R: float, alpha: float):
+    """Ball-constrained l1 prox by bisection on the multiplier.
+
+    Solves min ||x||_1 + alpha/2 ||x - c||^2 s.t. ||x - s||^2 <= R. The
+    root of the nonincreasing phi(mu) = ||x(mu) - s||^2 - R is bracketed by
+    doubling and bisected until the bracket collapses to rounding; the
+    midpoint with the smallest |phi| wins. Returns (x, mu), with mu = 0
+    when the unconstrained prox already lies in the ball.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if R == 0.0:
+        return s.copy(), 0.0
+
+    def phi(mu):
+        d = ball_point_oracle(c, s, alpha, mu) - s
+        return float(d @ d) - R
+
+    if phi(0.0) <= 0.0:
+        return ball_point_oracle(c, s, alpha, 0.0), 0.0
+    lo, hi = 0.0, alpha
+    while phi(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    best_val, best_mu = np.inf, hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        val = phi(mid)
+        if abs(val) < best_val:
+            best_val, best_mu = abs(val), mid
+        if val > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return ball_point_oracle(c, s, alpha, best_mu), best_mu
+
+
 def grid_prox_ball_oracle(c, s, R, alpha, levels: int = 40, pts: int = 12):
     """Ball-constrained l1 prox by multiplier grid refinement.
 
@@ -71,17 +117,12 @@ def grid_prox_ball_oracle(c, s, R, alpha, levels: int = 40, pts: int = 12):
     if R == 0.0:
         return s.copy()
 
-    def x_of(mu):
-        t = 1.0 / (alpha + mu)
-        z = (alpha * c + mu * s) * t
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
     def phi(mu):
-        d = x_of(mu) - s
+        d = ball_point_oracle(c, s, alpha, mu) - s
         return float(d @ d) - R
 
     if phi(0.0) <= 0.0:
-        return x_of(0.0)
+        return ball_point_oracle(c, s, alpha, 0.0)
     lo, hi = 0.0, 1.0
     while phi(hi) > 0.0:
         lo, hi = hi, 4.0 * hi
@@ -91,7 +132,7 @@ def grid_prox_ball_oracle(c, s, R, alpha, levels: int = 40, pts: int = 12):
         lo, hi = grid[j - 1], grid[j]
         if hi - lo <= 1e-15 * max(hi, 1.0):
             break
-    return x_of(0.5 * (lo + hi))
+    return ball_point_oracle(c, s, alpha, 0.5 * (lo + hi))
 
 
 def projected_subgradient_ball(c, s, R, alpha, iters: int = 500_000):

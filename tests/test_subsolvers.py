@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparseratio.models import SensingMatrix
 from sparseratio.subsolvers import (
@@ -17,6 +18,8 @@ from sparseratio.subsolvers import (
 )
 
 from oracles import (
+    ball_point_oracle,
+    bisection_prox_ball,
     grid_min_scalar,
     projected_subgradient_affine,
     projected_subgradient_ball,
@@ -150,12 +153,155 @@ class TestProxL1Ball:
         with pytest.raises(ValueError):
             prox_l1_ball(BallProxProblem(c=[1.0], s=[0.0], R=1.0, alpha=1.0), tol=0.0)
 
-    def test_pathological_scaling_raises(self):
-        # with s = 0 the gap (alpha c - 1)/(alpha + mu) decays like 1/mu and
-        # cannot reach the vanishing radius before the multiplier cap
+    def test_vanishing_radius_solved_exactly(self):
+        # with s = 0 the gap is (alpha c - 1)/(alpha + mu) = 1/(1 + mu), so
+        # the exact solution is x = 1e-20 at mu = 1e20 - 1
         p = BallProxProblem(c=[2.0], s=[0.0], R=1e-40, alpha=1.0)
+        sol = prox_l1_ball(p)
+        assert sol.active
+        assert abs(ball_gap(sol, p)) <= 1e-12 * max(p.R, 1.0)
+        assert abs(sol.mu - (1e20 - 1.0)) <= 1e-12 * 1e20
+        assert float(sol.x[0]) == pytest.approx(1e-20, rel=1e-12)
+
+    def test_pathological_scaling_raises(self):
+        # the multiplier sqrt(N/R) - alpha = 1e150/1e-150 overflows; a NaN
+        # point must never come back
+        p = BallProxProblem(c=[1e150], s=[0.0], R=1e-300, alpha=1.0)
         with pytest.raises(SubsolverError):
             prox_l1_ball(p)
+
+
+def ball_gap(sol, p):
+    return float(np.sum((sol.x - p.s) ** 2)) - p.R
+
+
+def breakpoints(p):
+    """The positive multipliers at which a coordinate of x(mu) turns zero
+    or nonzero."""
+    a = p.alpha * p.c
+    nz = p.s != 0.0
+    bps = np.concatenate(((1.0 - a[nz]) / p.s[nz], (-1.0 - a[nz]) / p.s[nz]))
+    return np.sort(bps[bps > 0.0])
+
+
+def assert_matches_bisection(p, sol, kkt_tol=1e-10):
+    x_ref, mu_ref = bisection_prox_ball(p.c, p.s, p.R, p.alpha)
+    assert np.linalg.norm(sol.x - x_ref) <= 1e-10 * max(1.0, np.linalg.norm(sol.x))
+    gap = ball_gap(sol, p)
+    assert gap <= 1e-12 * max(p.R, 1.0)
+    assert sol.kkt_residual <= kkt_tol
+    assert abs(sol.mu * gap) <= 1e-10 * (1.0 + sol.mu)
+    if mu_ref > 0.0:
+        assert sol.active
+    if not sol.active:
+        assert sol.mu == 0.0
+
+
+def problem_with_root_at(c, s, alpha, mu):
+    """A ball prox problem whose exact multiplier is mu: the radius is
+    ||x(mu) - s||^2."""
+    d = ball_point_oracle(c, s, alpha, mu) - np.asarray(s, dtype=float)
+    return BallProxProblem(c=c, s=s, R=float(d @ d), alpha=alpha)
+
+
+ball_entries = st.floats(-6.0, 6.0)
+
+
+@st.composite
+def ball_problems(draw):
+    n = draw(st.integers(1, 64))
+    c = draw(arrays(float, n, elements=ball_entries))
+    # zeros give coordinates without breakpoints, repeats give ties
+    s = draw(arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.sampled_from([-1.5, 0.5, 2.0]), ball_entries)))
+    alpha = draw(st.floats(0.1, 10.0))
+    d0 = ball_point_oracle(c, s, alpha, 0.0) - s
+    # R spans from far inside the unconstrained prox's distance to beyond it
+    R = float(d0 @ d0) * draw(st.floats(1e-8, 1.5)) + draw(
+        st.sampled_from([0.0, 1e-6, 0.5]))
+    return BallProxProblem(c=c, s=s, R=R, alpha=alpha)
+
+
+class TestExactBallSolve:
+    """Edge cases of the breakpoint sweep behind prox_l1_ball."""
+
+    def test_zero_centre_coordinates(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            c = rng.standard_normal(n) * 3.0
+            s = rng.standard_normal(n)
+            s[rng.random(n) < 0.5] = 0.0
+            d0 = ball_point_oracle(c, s, 1.0, 0.0) - s
+            p = BallProxProblem(c=c, s=s, R=0.2 * float(d0 @ d0), alpha=1.0)
+            sol = prox_l1_ball(p)
+            assert sol.active
+            assert_matches_bisection(p, sol)
+
+    def test_all_centre_coordinates_zero(self):
+        # no breakpoints: one segment, x = soft(alpha c, 1)/(alpha + mu)
+        c = np.array([3.0, -0.5, -2.0])
+        p = BallProxProblem(c=c, s=np.zeros(3), R=0.25, alpha=1.0)
+        sol = prox_l1_ball(p)
+        # ||soft(c, 1)|| = sqrt(5) so 1 + mu = sqrt(5)/0.5
+        assert sol.mu == pytest.approx(2.0 * np.sqrt(5.0) - 1.0, rel=1e-14)
+        assert_matches_bisection(p, sol)
+
+    def test_tied_breakpoints(self):
+        c = np.tile([1.7, -0.4, 2.5, 0.9], 4)
+        s = np.tile([0.8, -1.1, 0.3, -0.6], 4)
+        p0 = BallProxProblem(c=c, s=s, R=1.0, alpha=1.3)
+        bps = breakpoints(p0)
+        assert np.any(np.diff(bps) == 0.0)
+        for mu in (0.5 * bps[0], bps[3], 0.5 * (bps[3] + bps[4]), bps[-1]):
+            p = problem_with_root_at(c, s, 1.3, mu)
+            sol = prox_l1_ball(p)
+            assert sol.mu == pytest.approx(mu, rel=1e-12)
+            np.testing.assert_array_equal(sol.x[:4], sol.x[4:8])
+            assert_matches_bisection(p, sol)
+
+    def test_root_in_first_segment(self):
+        rng = np.random.default_rng(21)
+        c = rng.standard_normal(12) * 2.0
+        s = rng.standard_normal(12)
+        first = breakpoints(BallProxProblem(c=c, s=s, R=1.0, alpha=0.7))[0]
+        p = problem_with_root_at(c, s, 0.7, 0.5 * first)
+        sol = prox_l1_ball(p)
+        assert sol.mu == pytest.approx(0.5 * first, rel=1e-12)
+        assert_matches_bisection(p, sol)
+
+    def test_root_past_last_breakpoint(self):
+        rng = np.random.default_rng(22)
+        c = rng.standard_normal(12) * 2.0
+        s = rng.standard_normal(12)
+        last = breakpoints(BallProxProblem(c=c, s=s, R=1.0, alpha=0.7))[-1]
+        p = problem_with_root_at(c, s, 0.7, 3.0 * last)
+        sol = prox_l1_ball(p)
+        assert sol.mu == pytest.approx(3.0 * last, rel=1e-12)
+        assert np.all(sol.x != 0.0)
+        assert_matches_bisection(p, sol)
+
+    def test_radius_tiny_relative_to_swept_mass(self):
+        # every coordinate starts inactive, so the sweep starts from
+        # S = ||s||^2, about 3e7, and ends past the breakpoints of the large
+        # entries, where S is 1e-19 and R = 1e-10: R - S read off a running
+        # sum would be lost to cancellation
+        rng = np.random.default_rng(23)
+        s = rng.standard_normal(40) * 1e3
+        s[:10] = 1e-10
+        c = rng.uniform(-0.2, 0.2, 40)
+        p = BallProxProblem(c=c, s=s, R=1e-10, alpha=2.0)
+        sol = prox_l1_ball(p)
+        assert sol.active
+        assert np.all(sol.x[:10] == 0.0) and np.all(sol.x[10:] != 0.0)
+        # mu (x - s) carries the rounding of x - s at the scale of s
+        ulp_s = np.finfo(float).eps * float(np.abs(s).max())
+        assert_matches_bisection(p, sol, kkt_tol=8.0 * sol.mu * ulp_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_problems())
+    def test_matches_reference_bisection(self, p):
+        assert_matches_bisection(p, prox_l1_ball(p))
 
 
 class TestLeastNormSolution:
