@@ -298,20 +298,20 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     x = _as_vector(x0, model.A.n, "x0").copy()
     if not np.any(x):
         raise InfeasibleStartError("x0 must be nonzero")
-    q0 = q_value(model, x)
-    if q0 > cfg.feas_tol:
+    A = model.A.entries
+    res = A @ x - model.b
+    qx = _q_of_residual(model, res)
+    if qx > cfg.feas_tol:
         raise InfeasibleStartError(
-            f"x0 is infeasible: q(x0) = {q0:.3e} > feas_tol = {cfg.feas_tol:.3e}"
+            f"x0 is infeasible: q(x0) = {qx:.3e} > feas_tol = {cfg.feas_tol:.3e}"
         )
 
-    A = model.A.entries
     alpha = cfg.alpha
     ratio_objective = objective == OBJECTIVE_RATIO
     # doublings certified to restore feasibility before l can sweep the
     # whole [l_min, 2*l_max] range
     doubling_cap = math.ceil(math.log2(cfg.l_max * 2.0 / cfg.l_min))
 
-    res = A @ x - model.b
     omega = _ratio(x)
     obj_val = omega if ratio_objective else float(np.abs(x).sum())
 
@@ -320,7 +320,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         trace.omega.append(omega)
         trace.objective.append(obj_val)
         trace.x_norm.append(float(np.linalg.norm(x)))
-        trace.q_vals.append(_q_of_residual(model, res))
+        trace.q_vals.append(qx)
         if trace.iterates is not None:
             trace.iterates.append(x.copy())
 
@@ -332,7 +332,6 @@ def run_mba(model: ConstraintModel, objective: str, x0,
 
     for t in range(cfg.max_outer_iters):
         t_start = time.perf_counter()
-        qx = _q_of_residual(model, res)
         xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
 
         if t == 0:
@@ -379,6 +378,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         l_prev = l
         x = sol.x
         res = res_new
+        qx = q_new
         step = float(np.linalg.norm(x - x_prev))
         omega = _ratio(x)
         obj_val = omega if ratio_objective else float(np.abs(x).sum())
@@ -408,7 +408,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         # lambda = 0. Widening by the final point's own |q| keeps the
         # boundary branch engaged; at genuinely interior fixed points the
         # lambda search collapses to dist(0) anyway.
-        band = max(10.0 * cfg.feas_tol, 2.0 * abs(q_value(model, x)))
+        band = max(10.0 * cfg.feas_tol, 2.0 * abs(qx))
         crit = criticality_residual(model, x, band)
     return RunResult(
         x_final=x,

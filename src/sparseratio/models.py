@@ -109,6 +109,17 @@ def lorentzian_grad(y, gamma: float) -> np.ndarray:
     return 2.0 * y / (gamma * gamma + y * y)
 
 
+def _sparse_keep(y: np.ndarray, r: int) -> np.ndarray:
+    """Indices of the r largest |y_i|; magnitude ties keep the lowest index.
+
+    These are the entries every sparse projection below keeps.
+    """
+    r = operator.index(r)
+    if r < 0 or r > y.size:
+        raise ValueError(f"r must be in [0, {y.size}], got {r}")
+    return np.argsort(-np.abs(y), kind="stable")[:r]
+
+
 def project_sparse(y, r: int) -> np.ndarray:
     """One nearest point to y in {z : ||z||_0 <= r}.
 
@@ -116,16 +127,8 @@ def project_sparse(y, r: int) -> np.ndarray:
     keeping the lowest index so the output is deterministic.
     """
     y = np.asarray(y, dtype=float)
-    r = operator.index(r)
-    if r < 0 or r > y.size:
-        raise ValueError(f"r must be in [0, {y.size}], got {r}")
-    if r == y.size:
-        return y.copy()
+    keep = _sparse_keep(y, r)
     out = np.zeros_like(y)
-    if r == 0:
-        return out
-    order = np.argsort(-np.abs(y), kind="stable")
-    keep = order[:r]
     out[keep] = y[keep]
     return out
 
@@ -133,7 +136,9 @@ def project_sparse(y, r: int) -> np.ndarray:
 def dist_sq_sparse(y, r: int) -> float:
     """Squared distance from y to {z : ||z||_0 <= r}."""
     y = np.asarray(y, dtype=float)
-    resid = y - project_sparse(y, r)
+    # y - project_sparse(y, r) entry for entry
+    resid = y.copy()
+    resid[_sparse_keep(y, r)] = 0.0
     return float(resid @ resid)
 
 
@@ -250,7 +255,9 @@ def _grad_p1_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
 
 def _subgrad_p2_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
     if isinstance(model, RobustCS):
-        return 2.0 * (model.A.entries.T @ project_sparse(res, model.r))
+        # P_S(res) has at most r nonzeros, so only those rows of A enter
+        keep = _sparse_keep(res, model.r)
+        return 2.0 * (res[keep] @ model.A.entries[keep])
     if isinstance(model, (LeastSquares, Lorentzian)):
         return np.zeros(model.A.n)
     raise TypeError(f"unknown constraint model {type(model).__name__}")

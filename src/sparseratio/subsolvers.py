@@ -68,8 +68,8 @@ class BallProxProblem:
         s = np.asarray(self.s, dtype=float)
         if c.ndim != 1 or s.shape != c.shape or c.size == 0:
             raise ValueError("c and s must be 1-D vectors of equal length")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))
-                and np.isfinite(self.R) and np.isfinite(self.alpha)):
+        if not (np.isfinite(c).all() and np.isfinite(s).all()
+                and math.isfinite(self.R) and math.isfinite(self.alpha)):
             raise ValueError("ball prox inputs must be finite")
         if self.R < 0:
             raise ValueError("R must be nonnegative")

@@ -1,0 +1,54 @@
+"""Micro-benchmarks of the RobustCS hooks and one moving-balls outer step.
+
+The file name keeps it out of the default ``test_*.py`` collection; run it
+explicitly with pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest tests/bench_models.py
+
+The instance is acceptance plan 1's robust_cs cell at seed 0 (m=730,
+n=2560, r=20). The residual and the start point are taken at iterate 10 of
+a ratio run, where the curvature has settled, rather than at the
+least-norm start, whose residual is zero.
+"""
+
+import numpy as np
+import pytest
+
+from sparseratio import (
+    OBJECTIVE_PLAIN_L1,
+    OBJECTIVE_RATIO,
+    GenSpec,
+    SolverConfig,
+    feasible_start,
+    generate,
+    run_mba,
+)
+from sparseratio.models import _subgrad_p2_of_residual, project_sparse
+
+CFG = {"tol": 1e-6, "feas_tol": 1e-13}
+
+
+@pytest.fixture(scope="module")
+def robust_mid_run():
+    model = generate(GenSpec(family="robust_cs", n=2560, p=720, k=80,
+                             iota=10, seed=0)).model
+    warm = run_mba(model, OBJECTIVE_RATIO, feasible_start(model),
+                   SolverConfig(max_outer_iters=10, **CFG))
+    return model, warm.x_final
+
+
+def test_subgrad_p2_robust(benchmark, robust_mid_run):
+    model, x = robust_mid_run
+    res = model.A.entries @ x - model.b
+    g = benchmark(_subgrad_p2_of_residual, model, res)
+    full = 2.0 * (model.A.entries.T @ project_sparse(res, model.r))
+    assert np.linalg.norm(g - full) <= 1e-12 * max(1.0, np.linalg.norm(full))
+
+
+def test_run_mba_one_outer_step(benchmark, robust_mid_run):
+    # plain_l1 skips the ratio run's closing criticality check, so the
+    # time is the step itself: hooks, ball prox, trial products, doublings
+    model, x = robust_mid_run
+    cfg = SolverConfig(max_outer_iters=1, record_trace=False, **CFG)
+    out = benchmark(run_mba, model, OBJECTIVE_PLAIN_L1, x, cfg)
+    assert out.iterations == 1

@@ -34,6 +34,10 @@ def desk_cauchy():
     return generate(GenSpec(family="cauchy", n=128, m=48, k=6, seed=3))
 
 
+def desk_robust():
+    return generate(GenSpec(family="robust_cs", n=256, p=72, k=8, iota=2, seed=1))
+
+
 def disk_model():
     # feasible set is the disk ||x - (1,0)|| <= 0.5
     return LeastSquares(np.eye(2), [1.0, 0.0], sigma=0.5)
@@ -224,13 +228,26 @@ class TestRunMBA:
             assert obj[t] - obj[t + 1] >= rhs - 1e-10
 
     def test_deterministic_rerun(self):
-        inst = desk_cauchy()
-        x0 = feasible_start(inst.model, None)
-        r1 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
-        r2 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
-        assert np.array_equal(r1.x_final, r2.x_final)
-        assert r1.trace.omega == r2.trace.omega
-        assert r1.trace.l_accepted == r2.trace.l_accepted
+        for inst in (desk_cauchy(), desk_robust()):
+            x0 = feasible_start(inst.model, None)
+            r1 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
+            r2 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
+            assert np.array_equal(r1.x_final, r2.x_final)
+            assert r1.trace.omega == r2.trace.omega
+            assert r1.trace.l_accepted == r2.trace.l_accepted
+
+    @pytest.mark.parametrize("make", [desk_cauchy, desk_robust])
+    def test_trace_q_vals_are_q_of_iterates(self, make):
+        # the driver carries q of each accepted trial forward instead of
+        # re-evaluating it; the carried value must be q_value bit for bit
+        model = make().model
+        res = run_mba(model, OBJECTIVE_RATIO, feasible_start(model, None),
+                      SolverConfig(record_iterates=True))
+        tr = res.trace
+        assert res.iterations > 1
+        assert len(tr.iterates) == len(tr.q_vals) == res.iterations + 1
+        for x, q in zip(tr.iterates, tr.q_vals):
+            assert q == q_value(model, x)
 
     def test_infeasible_or_zero_start_rejected(self):
         model = disk_model()

@@ -11,6 +11,8 @@ from sparseratio.models import (
     Lorentzian,
     RobustCS,
     SensingMatrix,
+    _sparse_keep,
+    _subgrad_p2_of_residual,
     dist_sq_sparse,
     grad_p1,
     is_feasible,
@@ -123,6 +125,21 @@ class TestProjectSparse:
     def test_r_equal_length_is_identity(self):
         y = RNG.standard_normal(6)
         np.testing.assert_array_equal(project_sparse(y, 6), y)
+
+    @given(arrays(np.float64, st.integers(1, 12), elements=st.sampled_from(
+        [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])), st.data())
+    def test_keep_set_under_ties(self, y, data):
+        # ties are forced by the few magnitudes; the reference keeps the r
+        # largest |y_i| with ties going to the lowest index
+        r = data.draw(st.integers(0, y.size))
+        ref = sorted(sorted(range(y.size), key=lambda i: (-abs(y[i]), i))[:r])
+        assert sorted(_sparse_keep(y, r)) == ref
+        expected = np.zeros_like(y)
+        expected[ref] = y[ref]
+        out = project_sparse(y, r)
+        np.testing.assert_array_equal(out, expected)
+        d = y - out
+        assert dist_sq_sparse(y, r) == float(d @ d)
 
     def test_rejects_out_of_range_r(self):
         with pytest.raises(ValueError):
@@ -257,6 +274,22 @@ class TestSubgradP2:
         )
         with pytest.raises(ValueError):
             RobustCS(A, b, sigma=0.5, r=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_kept_rows_match_full_transpose_product(self, m, data):
+        # the hook multiplies only the r kept rows of A; it must agree with
+        # the full product 2 A^T P_S(res), ties included
+        n = data.draw(st.integers(m, 30))
+        r = data.draw(st.integers(0, m - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = rng.standard_normal((m, n))
+        b = rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m)
+        model = RobustCS(A, b, sigma=0.5, r=r)
+        res = rng.integers(-3, 4, m) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        full = 2.0 * (A.T @ project_sparse(res, r))
+        g = _subgrad_p2_of_residual(model, res)
+        assert np.linalg.norm(g - full) <= 1e-12 * max(1.0, np.linalg.norm(full))
 
     def test_convexity_subgradient_inequality(self):
         # P2(x') >= P2(x) + <g, x' - x> for g = subgrad_p2(x)
