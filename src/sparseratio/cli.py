@@ -68,12 +68,11 @@ from .instances import (
     FAMILIES,
     FAMILY_BADLY_SCALED,
     FAMILY_CAUCHY,
+    FAMILY_PARAMS,
     FAMILY_ROBUST_CS,
+    FIELD_TYPES,
     GenSpec,
     ProblemInstance,
-    gen_badly_scaled,
-    gen_cauchy,
-    gen_robust_cs,
     generate,
     load_instance,
     load_result,
@@ -104,13 +103,6 @@ PIPELINE_ALGORITHM1 = "algorithm1"
 PIPELINE_TWO_STAGE = "two_stage"
 PIPELINES = (PIPELINE_MBA_RATIO, PIPELINE_MBA_L1, PIPELINE_ALGORITHM1,
              PIPELINE_TWO_STAGE)
-
-# per-family cell parameters, in CSV column order
-_FAMILY_PARAMS = {
-    FAMILY_ROBUST_CS: ("n", "p", "k", "iota"),
-    FAMILY_CAUCHY: ("n", "m", "k"),
-    FAMILY_BADLY_SCALED: ("n", "m", "k", "F", "D"),
-}
 
 _OK_STATUSES = (STATUS_CONVERGED, STATUS_MAX_ITERS)
 
@@ -152,7 +144,7 @@ class BenchPlan:
             raise ValueError("plan needs at least one seed")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
-        wanted = set(_FAMILY_PARAMS[self.family])
+        wanted = set(FAMILY_PARAMS[self.family])
         for cell in self.cells:
             if set(cell) != wanted:
                 raise ValueError(
@@ -179,10 +171,16 @@ def run_pipeline(model, pipeline: str, cfg: SolverConfig,
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 
-    if pipeline == PIPELINE_ALGORITHM1:
+    if pipeline != PIPELINE_TWO_STAGE:
         t0 = time.perf_counter()
-        x0 = least_norm_solution(model.A, model.b)
-        res = run_algorithm1(model.A, model.b, x0, cfg)
+        if pipeline == PIPELINE_ALGORITHM1:
+            x0 = least_norm_solution(model.A, model.b)
+            res = run_algorithm1(model.A, model.b, x0, cfg)
+        else:
+            objective = (OBJECTIVE_RATIO if pipeline == PIPELINE_MBA_RATIO
+                         else OBJECTIVE_PLAIN_L1)
+            x0 = feasible_start(model, None, cfg.feas_tol)
+            res = run_mba(model, objective, x0, cfg)
         t_main = time.perf_counter() - t0
         return PipelineResult(
             x_final=res.x_final, status=res.status,
@@ -190,20 +188,6 @@ def run_pipeline(model, pipeline: str, cfg: SolverConfig,
             criticality_residual=res.criticality_residual,
             t_warm=0.0, t_main=t_main, warm_trace=None, main_trace=res.trace)
 
-    if pipeline in (PIPELINE_MBA_RATIO, PIPELINE_MBA_L1):
-        objective = (OBJECTIVE_RATIO if pipeline == PIPELINE_MBA_RATIO
-                     else OBJECTIVE_PLAIN_L1)
-        t0 = time.perf_counter()
-        x0 = feasible_start(model, None, cfg.feas_tol)
-        res = run_mba(model, objective, x0, cfg)
-        t_main = time.perf_counter() - t0
-        return PipelineResult(
-            x_final=res.x_final, status=res.status,
-            iterations=res.iterations, warm_iterations=0, warm_x=None,
-            criticality_residual=res.criticality_residual,
-            t_warm=0.0, t_main=t_main, warm_trace=None, main_trace=res.trace)
-
-    # two_stage
     warm_cfg = dataclasses.replace(
         cfg, tol=cfg.tol if warm_tol is None else warm_tol)
     t0 = time.perf_counter()
@@ -302,7 +286,7 @@ def run_bench_plan(plan: BenchPlan, jobs: int = 1,
 
 def compute_aggregates(plan: BenchPlan, rows: list[dict]) -> list[dict]:
     """Per-cell mean/median summaries over the successful runs."""
-    params = _FAMILY_PARAMS[plan.family]
+    params = FAMILY_PARAMS[plan.family]
     aggs = []
     for cell in plan.cells:
         cell_rows = [r for r in rows
@@ -333,7 +317,7 @@ def compute_aggregates(plan: BenchPlan, rows: list[dict]) -> list[dict]:
 
 
 def write_rows_csv(report: BenchReport, path):
-    params = _FAMILY_PARAMS[report.plan.family]
+    params = FAMILY_PARAMS[report.plan.family]
     header = ["family", *params, *_ROW_TAIL]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -343,7 +327,7 @@ def write_rows_csv(report: BenchReport, path):
 
 
 def write_aggregate_csv(report: BenchReport, path):
-    params = _FAMILY_PARAMS[report.plan.family]
+    params = FAMILY_PARAMS[report.plan.family]
     header = ["family", *params, "pipeline", "n_ok", "failures",
               "rec_err_mean", "rec_err_median", "residual_mean",
               "t_gen_mean", "t_warm_mean", "t_main_mean",
@@ -405,10 +389,6 @@ def _config_from_args(args) -> SolverConfig:
     base = {}
     if getattr(args, "config", None):
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = set(base) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(
-                f"unknown solver config fields: {sorted(unknown)}")
     for name in _SOLVER_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
@@ -431,15 +411,12 @@ def _print_instance_summary(inst: ProblemInstance, dest: str | None):
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "robust-cs":
-        inst = gen_robust_cs(args.n, args.p, args.k, args.iota, args.seed,
-                             args.sigma_factor)
-    elif args.family == "cauchy":
-        inst = gen_cauchy(args.n, args.m, args.k, args.seed, args.gamma,
-                          args.sigma_factor)
-    else:
-        inst = gen_badly_scaled(args.n, args.m, args.k, args.F, args.D,
-                                args.seed, args.sigma_factor)
+    family = args.family.replace("-", "_")
+    # unset optional flags fall through to the GenSpec and generator defaults
+    params = {name: getattr(args, name)
+              for name in (*FAMILY_PARAMS[family], "gamma", "sigma_factor")
+              if getattr(args, name, None) is not None}
+    inst = generate(GenSpec(family=family, seed=args.seed, **params))
     if args.out:
         save_instance(inst, args.out)
     _print_instance_summary(inst, args.out)
@@ -507,7 +484,7 @@ def _cmd_bench(args) -> int:
             raise ValueError("bench needs either --plan or --family")
         family = args.family.replace("-", "_")
         cell = {}
-        for param in _FAMILY_PARAMS[family]:
+        for param in FAMILY_PARAMS[family]:
             value = getattr(args, param)
             if value is None:
                 raise ValueError(
@@ -528,7 +505,7 @@ def _cmd_bench(args) -> int:
 
     for agg in report.aggregates:
         cell_desc = ", ".join(
-            f"{p}={agg[p]}" for p in _FAMILY_PARAMS[plan.family])
+            f"{p}={agg[p]}" for p in FAMILY_PARAMS[plan.family])
         print(f"{plan.family} [{cell_desc}] {plan.pipeline}: "
               f"ok={agg['n_ok']} failures={agg['failures']} "
               f"rec_err mean={agg['rec_err_mean']:.4g} "
@@ -649,6 +626,17 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
                             "explicit flags override it")
 
 
+_FAMILY_HELP = {
+    FAMILY_ROBUST_CS: "Gaussian matrix, sparse outliers",
+    FAMILY_CAUCHY: "Gaussian matrix, Cauchy noise",
+    FAMILY_BADLY_SCALED: "cosine matrix, wide-dynamic-range signal",
+}
+_PARAM_HELP = {
+    "p": "clean measurement count (rows are p + iota)",
+    "iota": "outlier count; the model budget is r = 2 iota",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparseratio",
@@ -659,33 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random instance")
     gen_sub = gen.add_subparsers(dest="family", required=True)
 
-    g_rcs = gen_sub.add_parser("robust-cs",
-                               help="Gaussian matrix, sparse outliers")
-    g_rcs.add_argument("--n", type=int, required=True)
-    g_rcs.add_argument("--p", type=int, required=True,
-                       help="clean measurement count (rows are p + iota)")
-    g_rcs.add_argument("--k", type=int, required=True)
-    g_rcs.add_argument("--iota", type=int, required=True,
-                       help="outlier count; the model budget is r = 2 iota")
-
-    g_cau = gen_sub.add_parser("cauchy",
-                               help="Gaussian matrix, Cauchy noise")
-    g_cau.add_argument("--n", type=int, required=True)
-    g_cau.add_argument("--m", type=int, required=True)
-    g_cau.add_argument("--k", type=int, required=True)
-    g_cau.add_argument("--gamma", type=float, default=0.02)
-
-    g_bad = gen_sub.add_parser("badly-scaled",
-                               help="cosine matrix, wide-dynamic-range signal")
-    g_bad.add_argument("--n", type=int, required=True)
-    g_bad.add_argument("--m", type=int, required=True)
-    g_bad.add_argument("--k", type=int, required=True)
-    g_bad.add_argument("--F", type=float, required=True)
-    g_bad.add_argument("--D", type=float, required=True)
-
-    for sp in (g_rcs, g_cau, g_bad):
+    for family, params in FAMILY_PARAMS.items():
+        sp = gen_sub.add_parser(family.replace("_", "-"),
+                                help=_FAMILY_HELP[family])
+        for name in params:
+            sp.add_argument(f"--{name}", type=FIELD_TYPES[name], required=True,
+                            help=_PARAM_HELP.get(name))
+        if family == FAMILY_CAUCHY:
+            sp.add_argument("--gamma", type=float, default=None)
         sp.add_argument("--seed", type=int, required=True)
-        sp.add_argument("--sigma-factor", type=float, default=1.2,
+        sp.add_argument("--sigma-factor", type=float, default=None,
                         dest="sigma_factor")
         sp.add_argument("--out", default=None, help="instance file to write")
         sp.set_defaults(func=_cmd_gen)
@@ -703,15 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a (cells x seeds) grid")
     bench.add_argument("--plan", default=None, help="JSON plan file")
     bench.add_argument("--family",
-                       choices=["robust-cs", "cauchy", "badly-scaled"],
+                       choices=[f.replace("_", "-") for f in FAMILIES],
                        default=None)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--p", type=int, default=None)
-    bench.add_argument("--m", type=int, default=None)
-    bench.add_argument("--k", type=int, default=None)
-    bench.add_argument("--iota", type=int, default=None)
-    bench.add_argument("--F", type=float, default=None)
-    bench.add_argument("--D", type=float, default=None)
+    for name in dict.fromkeys(p for ps in FAMILY_PARAMS.values() for p in ps):
+        bench.add_argument(f"--{name}", type=FIELD_TYPES[name], default=None)
     bench.add_argument("--seeds", default="0:20",
                        help="'0:20' half-open range or '3,5,9' list")
     bench.add_argument("--pipeline", choices=PIPELINES, default=None)

@@ -20,7 +20,8 @@ from the single 64-bit seed. Instances regenerate bit-for-bit from
 from __future__ import annotations
 
 import json
-import operator
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,7 +59,21 @@ FORMAT_VERSION = 1
 FAMILY_ROBUST_CS = "robust_cs"
 FAMILY_CAUCHY = "cauchy"
 FAMILY_BADLY_SCALED = "badly_scaled"
-FAMILIES = (FAMILY_ROBUST_CS, FAMILY_CAUCHY, FAMILY_BADLY_SCALED)
+# the parameters each family requires, in CSV column order; GenSpec, generate,
+# the bench plans and the CLI flags all read them from here
+FAMILY_PARAMS = {
+    FAMILY_ROBUST_CS: ("n", "p", "k", "iota"),
+    FAMILY_CAUCHY: ("n", "m", "k"),
+    FAMILY_BADLY_SCALED: ("n", "m", "k", "F", "D"),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
+
+# the type of each numeric GenSpec field; each must be positive except
+# those in _MAY_BE_ZERO
+FIELD_TYPES = {"n": int, "k": int, "seed": int, "m": int, "p": int,
+               "iota": int, "r": int, "gamma": float, "F": float,
+               "D": float, "sigma_factor": float}
+_MAY_BE_ZERO = ("seed", "iota", "r", "D")
 
 # substream ids hashed together with the seed
 _STREAM_MATRIX = 0
@@ -74,7 +89,10 @@ class GenSpec:
     """Family name plus every parameter needed to regenerate an instance.
 
     Fields not used by a family stay None. sigma_factor scales the realized
-    noise magnitude into the constraint budget sigma.
+    noise magnitude into the constraint budget sigma. Every numeric field is
+    checked for its type and sign here, and integral and real values are
+    stored as int and float, so malformed parameters raise ValueError before
+    any instance is drawn.
     """
 
     family: str
@@ -93,23 +111,30 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be positive")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            integral = kind is int
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral if integral
+                                      else numbers.Real)
+                    or not (integral or math.isfinite(value))):
+                wanted = "an integer" if integral else "a finite real number"
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+            if value < 0 or (value == 0 and name not in _MAY_BE_ZERO):
+                sign = "nonnegative" if name in _MAY_BE_ZERO else "positive"
+                raise ValueError(f"{name} must be {sign}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
+        missing = [name for name in ("seed", "sigma_factor",
+                                     *FAMILY_PARAMS[self.family])
+                   if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.family} needs {', '.join(missing)}")
+        if self.gamma is not None and self.family != FAMILY_CAUCHY:
+            raise ValueError("gamma applies only to the cauchy family")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if not self.sigma_factor > 0:
-            raise ValueError("sigma_factor must be positive")
-        if self.family == FAMILY_ROBUST_CS:
-            if self.p is None or self.iota is None:
-                raise ValueError("robust_cs needs p and iota")
-        elif self.family == FAMILY_CAUCHY:
-            if self.m is None:
-                raise ValueError("cauchy needs m")
-        else:
-            if self.m is None or self.F is None or self.D is None:
-                raise ValueError("badly_scaled needs m, F and D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +167,6 @@ def gen_robust_cs(n: int, p: int, k: int, iota: int, seed: int,
     normal. The outlier budget is r = 2 iota and sigma = sigma_factor *
     ||0.01 eps||.
     """
-    if p < 1 or iota < 0:
-        raise ValueError("need p >= 1 and iota >= 0")
     spec = GenSpec(family=FAMILY_ROBUST_CS, n=n, k=k, seed=seed, p=p,
                    iota=iota, r=2 * iota, sigma_factor=sigma_factor)
     m = p + iota
@@ -171,8 +194,6 @@ def gen_cauchy(n: int, m: int, k: int, seed: int, gamma: float = 0.02,
     """Sparse recovery under heavy-tailed noise: eps_i = tan(pi (u_i - 1/2))
     with u_i uniform on (0, 1), i.e. standard Cauchy. The budget is
     sigma_factor times the Lorentzian norm of the realized 0.01 eps."""
-    if m < 1:
-        raise ValueError("need m >= 1")
     spec = GenSpec(family=FAMILY_CAUCHY, n=n, k=k, seed=seed, m=m,
                    gamma=gamma, sigma_factor=sigma_factor)
     A = _unit_column_gaussian(m, n, seed)
@@ -205,12 +226,6 @@ def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
     matrix fails the rank check, a fresh frequency vector is drawn (up to
     10 attempts).
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if not F > 0:
-        raise ValueError("F must be positive")
-    if D < 0:
-        raise ValueError("D must be nonnegative")
     spec = GenSpec(family=FAMILY_BADLY_SCALED, n=n, k=k, seed=seed, m=m,
                    F=F, D=D, sigma_factor=sigma_factor)
 
@@ -245,19 +260,20 @@ def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
                            noise_record={"epsilon": eps, "w": w})
 
 
+_GENERATORS = {
+    FAMILY_ROBUST_CS: gen_robust_cs,
+    FAMILY_CAUCHY: gen_cauchy,
+    FAMILY_BADLY_SCALED: gen_badly_scaled,
+}
+
+
 def generate(spec: GenSpec) -> ProblemInstance:
     """Regenerate the instance described by a GenSpec."""
-    if spec.family == FAMILY_ROBUST_CS:
-        return gen_robust_cs(spec.n, spec.p, spec.k, spec.iota, spec.seed,
-                             spec.sigma_factor)
-    if spec.family == FAMILY_CAUCHY:
-        gamma = 0.02 if spec.gamma is None else spec.gamma
-        return gen_cauchy(spec.n, spec.m, spec.k, spec.seed, gamma,
-                          spec.sigma_factor)
-    if spec.family == FAMILY_BADLY_SCALED:
-        return gen_badly_scaled(spec.n, spec.m, spec.k, spec.F, spec.D,
-                                spec.seed, spec.sigma_factor)
-    raise ValueError(f"unknown family {spec.family!r}")
+    params = {name: getattr(spec, name) for name in FAMILY_PARAMS[spec.family]}
+    if spec.gamma is not None:
+        params["gamma"] = spec.gamma
+    return _GENERATORS[spec.family](seed=spec.seed,
+                                    sigma_factor=spec.sigma_factor, **params)
 
 
 def rec_err(x_out, x_orig) -> float:
@@ -278,31 +294,28 @@ def residual_metric(model: ConstraintModel, x) -> float:
 # ---------------------------------------------------------------------------
 # persistence
 
-_VARIANT_NAMES = {
-    LeastSquares: "least_squares",
-    Lorentzian: "lorentzian",
-    RobustCS: "robust_cs",
+# A model is stored as its variant name, sigma, and the fields its class adds
+# to (A, b, sigma), which are also its remaining constructor arguments.
+_MODEL_VARIANTS = {
+    "least_squares": LeastSquares,
+    "lorentzian": Lorentzian,
+    "robust_cs": RobustCS,
 }
 
 
 def _model_params(model: ConstraintModel) -> dict:
-    params = {"variant": _VARIANT_NAMES[type(model)], "sigma": model.sigma}
-    if isinstance(model, Lorentzian):
-        params["gamma"] = model.gamma
-    if isinstance(model, RobustCS):
-        params["r"] = model.r
-    return params
+    variant = next(name for name, cls in _MODEL_VARIANTS.items()
+                   if type(model) is cls)
+    return {"variant": variant, "sigma": model.sigma,
+            **{name: getattr(model, name) for name in model.__slots__}}
 
 
 def _model_from_params(params: dict, A: SensingMatrix, b: np.ndarray) -> ConstraintModel:
-    variant = params["variant"]
-    if variant == "least_squares":
-        return LeastSquares(A, b, params["sigma"])
-    if variant == "lorentzian":
-        return Lorentzian(A, b, params["sigma"], params["gamma"])
-    if variant == "robust_cs":
-        return RobustCS(A, b, params["sigma"], operator.index(params["r"]))
-    raise ValueError(f"unknown model variant {variant!r}")
+    cls = _MODEL_VARIANTS.get(params["variant"])
+    if cls is None:
+        raise ValueError(f"unknown model variant {params['variant']!r}")
+    return cls(A, b, params["sigma"],
+               *(params[name] for name in cls.__slots__))
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:

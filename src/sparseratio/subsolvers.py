@@ -93,7 +93,6 @@ class BallProxSolution:
     x: np.ndarray
     mu: float
     active: bool
-    kkt_residual: float
 
 
 _UNIT_PAIR = np.array([[1.0], [-1.0]])
@@ -101,13 +100,6 @@ _UNIT_PAIR = np.array([[1.0], [-1.0]])
 
 def _ball_x_of_mu(c, s, alpha, mu):
     return soft_threshold((alpha * c + mu * s) / (alpha + mu), 1.0 / (alpha + mu))
-
-
-def _stationarity_residual(x, c, s, alpha, mu) -> float:
-    # a zero coordinate may take any subgradient in [-1, 1]
-    per_coord = (np.abs(alpha * (x - c) + mu * (x - s) + np.sign(x))
-                 - (x == 0.0))
-    return max(float(per_coord.max()), 0.0)
 
 
 def _segment_sums(active, sigma, u, s) -> tuple[float, float]:
@@ -198,20 +190,19 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
     raises SubsolverError.
 
     A degenerate ball (R = 0) pins the solution at x = s; the multiplier is
-    not meaningful there and is reported as 0 with a zero residual.
+    not meaningful there and is reported as 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     c, s, R, alpha = p.c, p.s, p.R, p.alpha
     if R == 0.0:
-        return BallProxSolution(x=s.copy(), mu=0.0, active=True, kkt_residual=0.0)
+        return BallProxSolution(x=s.copy(), mu=0.0, active=True)
 
     x0 = _ball_x_of_mu(c, s, alpha, 0.0)
     d = x0 - s
     phi0 = float(d @ d) - R
     if phi0 <= 0.0:
-        kkt = _stationarity_residual(x0, c, s, alpha, 0.0)
-        return BallProxSolution(x=x0, mu=0.0, active=False, kkt_residual=kkt)
+        return BallProxSolution(x=x0, mu=0.0, active=False)
 
     mu = _ball_multiplier(c, s, R, alpha)
     if not math.isfinite(mu):
@@ -230,8 +221,7 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
             f"ball prox missed the sphere: |phi| = {abs(phi):.3e} > "
             f"{tol_phi:.3e} at mu = {mu:.6e}"
         )
-    kkt = _stationarity_residual(x, c, s, alpha, mu)
-    return BallProxSolution(x=x, mu=mu, active=True, kkt_residual=kkt)
+    return BallProxSolution(x=x, mu=mu, active=True)
 
 
 def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:

@@ -65,6 +65,15 @@ def ball_point_oracle(c, s, alpha: float, mu: float):
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
 
+def stationarity_residual(x, c, s, alpha: float, mu: float) -> float:
+    """Largest violation of 0 in subdiff||x||_1 + alpha (x - c) + mu (x - s),
+    the stationarity condition of the ball prox at multiplier mu."""
+    # a zero coordinate may take any subgradient in [-1, 1]
+    per_coord = (np.abs(alpha * (x - c) + mu * (x - s) + np.sign(x))
+                 - (x == 0.0))
+    return max(float(per_coord.max()), 0.0)
+
+
 def bisection_prox_ball(c, s, R: float, alpha: float):
     """Ball-constrained l1 prox by bisection on the multiplier.
 

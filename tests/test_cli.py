@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from sparseratio.cli import main
-from sparseratio.instances import load_instance, load_result
+from sparseratio.instances import (
+    GenSpec,
+    generate,
+    load_instance,
+    load_result,
+    save_instance,
+)
 
 
 def read_rows(path):
@@ -49,6 +55,30 @@ class TestGen:
             main(["gen", "robust-cs", "--p", "144", "--k", "16",
                   "--iota", "2", "--seed", "7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["robust-cs", "--n", "96", "--p", "30", "--k", "4", "--iota", "3"],
+         {"family": "robust_cs", "n": 96, "p": 30, "k": 4, "iota": 3}),
+        (["cauchy", "--n", "96", "--m", "30", "--k", "4"],
+         {"family": "cauchy", "n": 96, "m": 30, "k": 4}),
+        (["cauchy", "--n", "96", "--m", "30", "--k", "4", "--gamma", "0.05"],
+         {"family": "cauchy", "n": 96, "m": 30, "k": 4, "gamma": 0.05}),
+        (["badly-scaled", "--n", "96", "--m", "20", "--k", "4", "--F", "5",
+          "--D", "2"],
+         {"family": "badly_scaled", "n": 96, "m": 20, "k": 4, "F": 5.0,
+          "D": 2.0}),
+    ])
+    @pytest.mark.parametrize("sigma_factor", [None, "1.7"])
+    def test_written_file_matches_generate(self, argv, spec, sigma_factor,
+                                           tmp_path):
+        out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
+        extra = ["--sigma-factor", sigma_factor] if sigma_factor else []
+        rc = main(["gen", *argv, "--seed", "5", *extra, "--out", str(out)])
+        assert rc == 0
+        if sigma_factor:
+            spec = {**spec, "sigma_factor": float(sigma_factor)}
+        save_instance(generate(GenSpec(seed=5, **spec)), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -179,6 +209,17 @@ class TestBench:
     def test_empty_seed_list_fails(self, tmp_path, capsys):
         rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
                    "--k", "3", "--seeds", "", "--quiet"])
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"n": "64"}, {"n": 64.0}, {"k": True},
+                                     {"k": 3.5}])
+    def test_malformed_plan_cell_fails(self, bad, tmp_path, capsys):
+        plan = {"family": "cauchy", "cells": [{"n": 64, "m": 24, "k": 3, **bad}],
+                "seeds": [0], "pipeline": "mba_ratio"}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        rc = main(["bench", "--plan", str(plan_path), "--quiet"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 

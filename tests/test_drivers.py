@@ -273,9 +273,7 @@ class TestRunMBA:
         # a trial point that never becomes feasible no matter how far the
         # curvature is doubled must surface as a diagnosable error
         model = disk_model()
-        sol = BallProxSolution(
-            x=np.array([9.0, 9.0]), mu=0.0, active=False, kkt_residual=0.0
-        )
+        sol = BallProxSolution(x=np.array([9.0, 9.0]), mu=0.0, active=False)
         monkeypatch.setattr(drivers_module, "prox_l1_ball", lambda p, tol: sol)
         with pytest.raises(InnerLoopError):
             run_mba(model, OBJECTIVE_RATIO, [1.0, 0.0], SolverConfig())

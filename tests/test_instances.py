@@ -181,6 +181,24 @@ class TestGenerateDispatch:
             GenSpec(family="badly_scaled", n=8, k=2, seed=0, m=4, F=5.0)  # missing D
         with pytest.raises(ValueError):
             GenSpec(family="cauchy", n=8, k=2, seed=-1, m=4)
+        # malformed types, as a hand-written bench plan may carry them
+        for bad in ({"n": "64"}, {"n": 64.0}, {"n": True}, {"k": 3.5},
+                    {"m": None}, {"seed": 1.0},
+                    {"gamma": float("inf")}, {"gamma": "0.02"},
+                    {"sigma_factor": float("nan")}, {"sigma_factor": True},
+                    {"sigma_factor": 0.0}, {"gamma": -1.0}):
+            with pytest.raises(ValueError):
+                GenSpec(**{"family": "cauchy", "n": 8, "k": 2, "seed": 0,
+                           "m": 4, **bad})
+        with pytest.raises(ValueError):
+            GenSpec(family="badly_scaled", n=8, k=2, seed=0, m=4, F=5.0,
+                    D=float("-inf"))
+        with pytest.raises(ValueError):
+            GenSpec(family="robust_cs", n=8, k=2, seed=0, p=4, iota=1,
+                    gamma=0.02)
+        spec = GenSpec(family="badly_scaled", n=np.int64(8), k=2, seed=0,
+                       m=4, F=5, D=0)
+        assert type(spec.n) is int and type(spec.F) is float
 
 
 class TestMetrics:
