@@ -361,9 +361,13 @@ def load_plan(path) -> BenchPlan:
     for key in ("family", "cells", "seeds", "pipeline"):
         if key not in doc:
             raise ValueError(f"plan is missing the {key!r} field")
+    seeds = doc["seeds"]
+    # bool is an int subclass, and JSON numbers like 7.0 parse as float
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
+        raise ValueError(f"plan seeds must be a list of integers, got {seeds!r}")
     return BenchPlan(
         family=doc["family"], cells=list(doc["cells"]),
-        seeds=[int(s) for s in doc["seeds"]], pipeline=doc["pipeline"],
+        seeds=seeds, pipeline=doc["pipeline"],
         config=_config_from_dict(doc.get("config", {})),
         warm_tol=doc.get("warm_tol"))
 

@@ -13,13 +13,19 @@ over a simple set:
   until the trial point is feasible.
 
 Both stop when ||x_t - x_{t-1}|| <= tol * max(||x_t||, 1).
+
+A ratio run of ``run_mba`` closes with ``criticality_residual``: the
+distance of its final iterate to the KKT system 0 in subdiff(||x||_1/||x||)
++ lambda (grad P1 - subgrad P2), lambda >= 0, lambda q(x) = 0, minimized
+over lambda in closed form (no cap on lambda, no interior/boundary branch).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,7 +73,6 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_SUBSOLVER_FAILURE = "subsolver_failure"
 
 _BB_INNER_THRESHOLD = 1e-12
-_LAMBDA_CAP = 1e6
 
 
 class InfeasibleStartError(ValueError):
@@ -105,16 +110,34 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be true or false, got {value!r}")
+                continue
+            integral = f.type == "int"
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral if integral
+                                      else numbers.Real)
+                    or not (integral or math.isfinite(value))):
+                wanted = "an integer" if integral else "a finite real number"
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            setattr(self, f.name, int(value) if integral else float(value))
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (0 < self.l_min < self.l_max):
             raise ValueError("need 0 < l_min < l_max")
+        if not math.isfinite(self.l_max * 2.0 / self.l_min):
+            raise ValueError("2 * l_max / l_min must be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
         if not self.sub_tol > 0:
             raise ValueError("sub_tol must be positive")
+        if self.sub_max_iter < 1:
+            raise ValueError("sub_max_iter must be positive")
         if self.feas_tol < 0:
             raise ValueError("feas_tol must be nonnegative")
 
@@ -402,14 +425,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
 
     crit = None
     if ratio_objective:
-        # accepted iterates satisfy q <= feas_tol but can drift somewhat
-        # below -feas_tol (subproblem tolerance plus majorization gap), so
-        # the literal band would misread such finals as interior and force
-        # lambda = 0. Widening by the final point's own |q| keeps the
-        # boundary branch engaged; at genuinely interior fixed points the
-        # lambda search collapses to dist(0) anyway.
-        band = max(10.0 * cfg.feas_tol, 2.0 * abs(qx))
-        crit = criticality_residual(model, x, band)
+        crit = criticality_residual(model, x, cfg.feas_tol)
     return RunResult(
         x_final=x,
         status=status,
@@ -420,41 +436,55 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     )
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a scalar convex function on [lo, hi].
+def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]:
+    """(residual, lambda*) of the KKT system at x != 0 (see criticality_residual).
 
-    Returns min(f(lo), f(hi), f at the localized interior point).
+    Scaled by ||x||, the subdifferential is the coordinate product of points
+    sign(x_i) - ||u||_1 u_i (x_i != 0, u = x/||x||) and intervals [-1, 1]
+    (x_i = 0); with mu = ||x|| lambda and t = -g the squared residual is
+    f(mu)/||x||^2, f(mu) = sum_i dist(mu t_i, [lo_i, hi_i])^2 + (mu q)^2.
+    Half of f' is h(mu) = sum_i t_i^2 (min(mu - a_i, 0) + max(mu - b_i, 0))
+    + mu q^2, with [a_i, b_i] the mu-interval that puts mu t_i inside
+    [lo_i, hi_i]: nondecreasing and piecewise linear, h = S mu - C on each
+    segment. One sort of the a_i, b_i and a cumulative sweep of S and C find
+    the segment where h turns nonnegative, and mu* = C/S on it.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return min(f(lo), f(hi), f(0.5 * (a + b)))
+    nx = float(np.linalg.norm(x))
+    u = x / nx
+    lo, hi = np.where(x != 0.0, np.sign(x) - float(np.abs(u).sum()) * u,
+                      [[-1.0], [1.0]])
+    t = -g
+    moving = t * t > 0.0
+    w = t[moving] ** 2
+    a, b = np.sort(np.stack([lo[moving], hi[moving]]) / t[moving], axis=0)
+    # crossing a_i ends the below-interval term, crossing b_i starts the
+    # above-interval one; S[j], C[j] hold on the segment left of bp[j]
+    bp = np.concatenate([a, b])
+    order = np.argsort(bp)
+    bp = np.append(bp[order], np.inf)
+    S = np.cumsum(np.concatenate([[q * q + w.sum()], np.concatenate([-w, w])[order]]))
+    C = np.cumsum(np.concatenate([[w @ a], np.concatenate([-w * a, w * b])[order]]))
+    k = int(np.searchsorted(bp, 0.0, side="right"))
+    mu = 0.0
+    if C[k] > 0.0:  # h(0) = -C[k] < 0
+        j = k + int(np.argmax(S[k:] * bp[k:] - C[k:] >= 0.0))
+        low = 0.0 if j == k else bp[j - 1]
+        mu = min(max(C[j] / S[j], low), bp[j]) if S[j] > 0.0 else low
+    d = mu * t - np.clip(mu * t, lo, hi)
+    return math.sqrt(float(d @ d) + (mu * q) ** 2) / nx, mu / nx
 
 
 def criticality_residual(model: ConstraintModel, x,
                          feas_tol: float = 1e-10) -> float:
-    """Distance to first-order criticality of the ratio problem at x.
+    """Distance of x to the KKT system of min ||x||_1/||x|| s.t. q(x) <= 0.
 
-    At a critical point, 0 lies in subdiff(||x||_1/||x||) + lambda g for
-    some lambda >= 0 with lambda q(x) = 0, where g is the Clarke element
-    grad P1 - subgrad P2. The ratio subdifferential at x != 0 is the
-    coordinate product of points sign(x_i)/||x|| - (||x||_1/||x||^3) x_i
-    (x_i != 0) and intervals [-1/||x||, 1/||x||] (x_i = 0), so the distance
-    for fixed lambda is a closed-form coordinate clamp. Strictly feasible
-    points force lambda = 0; on the boundary the residual is minimized over
-    lambda in [0, 1e6] by golden-section search (the distance is convex in
-    lambda).
+    At a critical point 0 lies in subdiff(||x||_1/||x||) + lambda g for some
+    lambda >= 0 with lambda q(x) = 0, where g is the Clarke element
+    grad P1 - subgrad P2. The residual is the square root of
+    min over lambda >= 0 of dist(0, subdiff + lambda g)^2 + (lambda q(x))^2,
+    solved exactly: lambda is not capped, and no interior/boundary branch is
+    taken, because the complementarity term itself keeps lambda near 0
+    where q(x) is far below 0.
     """
     x = _as_vector(x, model.A.n, "x")
     if not np.any(x):
@@ -462,20 +492,4 @@ def criticality_residual(model: ConstraintModel, x,
     qx = q_value(model, x)
     if qx > feas_tol:
         raise ValueError(f"x is infeasible: q(x) = {qx:.3e} > {feas_tol:.3e}")
-
-    g = grad_p1(model, x) - subgrad_p2(model, x)
-    nx = float(np.linalg.norm(x))
-    n1 = float(np.abs(x).sum())
-    fixed = np.sign(x) / nx - (n1 / nx**3) * x
-    nonzero = x != 0.0
-    lo = np.where(nonzero, fixed, -1.0 / nx)
-    hi = np.where(nonzero, fixed, 1.0 / nx)
-
-    def dist(lam: float) -> float:
-        target = -lam * g
-        clamped = np.clip(target, lo, hi)
-        return float(np.linalg.norm(target - clamped))
-
-    if qx < -feas_tol:
-        return dist(0.0)
-    return _golden_section_min(dist, 0.0, _LAMBDA_CAP, 1e-10)
+    return _kkt_residual(x, grad_p1(model, x) - subgrad_p2(model, x), qx)[0]

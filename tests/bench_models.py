@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the RobustCS hooks and one moving-balls outer step.
+"""Micro-benchmarks of the RobustCS hooks, one moving-balls outer step and
+the criticality check.
 
 The file name keeps it out of the default ``test_*.py`` collection; run it
 explicitly with pytest-benchmark:
@@ -19,6 +20,7 @@ from sparseratio import (
     OBJECTIVE_RATIO,
     GenSpec,
     SolverConfig,
+    criticality_residual,
     feasible_start,
     generate,
     run_mba,
@@ -52,3 +54,11 @@ def test_run_mba_one_outer_step(benchmark, robust_mid_run):
     cfg = SolverConfig(max_outer_iters=1, record_trace=False, **CFG)
     out = benchmark(run_mba, model, OBJECTIVE_PLAIN_L1, x, cfg)
     assert out.iterations == 1
+
+
+def test_criticality_residual(benchmark, robust_mid_run):
+    # the check a ratio run makes once on its final iterate: q and the two
+    # gradient hooks (three A products) plus the exact multiplier solve
+    model, x = robust_mid_run
+    crit = benchmark(criticality_residual, model, x, CFG["feas_tol"])
+    assert 0.0 < crit < float("inf")

@@ -212,11 +212,26 @@ class TestBench:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [{"n": "64"}, {"n": 64.0}, {"k": True},
-                                     {"k": 3.5}])
+    @pytest.mark.parametrize("bad", [
+        {"cells": [{"n": "64", "m": 24, "k": 3}]},
+        {"cells": [{"n": 64.0, "m": 24, "k": 3}]},
+        {"cells": [{"n": 64, "m": 24, "k": True}]},
+        {"cells": [{"n": 64, "m": 24, "k": 3.5}]},
+        {"seeds": [0.9]},
+        {"seeds": [True]},
+        {"seeds": ["7"]},
+        {"seeds": 3},
+        {"config": {"tol": "1e-6"}},
+        {"config": {"l_max": math.inf}},
+        {"config": {"feas_tol": math.nan}},
+        {"config": {"alpha": True}},
+        {"config": {"max_outer_iters": 1.5}},
+        {"config": {"sub_max_iter": 0}},
+    ])
     def test_malformed_plan_cell_fails(self, bad, tmp_path, capsys):
-        plan = {"family": "cauchy", "cells": [{"n": 64, "m": 24, "k": 3, **bad}],
-                "seeds": [0], "pipeline": "mba_ratio"}
+        # bad replaces whole fields of an otherwise valid plan
+        plan = {"family": "cauchy", "cells": [{"n": 64, "m": 24, "k": 3}],
+                "seeds": [0], "pipeline": "mba_ratio", **bad}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
         rc = main(["bench", "--plan", str(plan_path), "--quiet"])

@@ -1,7 +1,16 @@
 """Outer-loop drivers: step seeding, starts, both algorithms, criticality."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseratio.drivers as drivers_module
 from sparseratio import (
@@ -27,7 +36,10 @@ from sparseratio import (
     run_algorithm1,
     run_mba,
 )
+from sparseratio.models import grad_p1, subgrad_p2
 from sparseratio.subsolvers import BallProxSolution, least_norm_solution
+
+from oracles import ratio_subdiff_distance_grid
 
 
 def desk_cauchy():
@@ -41,6 +53,19 @@ def desk_robust():
 def disk_model():
     # feasible set is the disk ||x - (1,0)|| <= 0.5
     return LeastSquares(np.eye(2), [1.0, 0.0], sigma=0.5)
+
+
+def kkt_objective(x, g, q, lam):
+    """dist(0, subdiff(||x||_1/||x||) + lam g)^2 + (lam q)^2, coordinatewise."""
+    nx = np.linalg.norm(x)
+    v = lam * g
+    total = (lam * q) ** 2
+    for xi, vi in zip(x, v):
+        if xi != 0.0:
+            total += (np.sign(xi) / nx - np.abs(x).sum() / nx**3 * xi + vi) ** 2
+        else:
+            total += max(abs(vi) - 1.0 / nx, 0.0) ** 2
+    return total
 
 
 class TestBBInitStep:
@@ -312,3 +337,117 @@ class TestCriticalityResidual:
         assert main.status == STATUS_CONVERGED
         assert main.criticality_residual is not None
         assert main.criticality_residual <= 1e-4
+
+    def test_tiny_scale_disk_terminates(self):
+        # scaling the disk model by 1e-4 scales g and q by 1e-8 and the
+        # balancing multiplier up to ~4.5e7, where a search with a fixed
+        # absolute width cannot shrink its bracket below the spacing of the
+        # doubles; the child process turns such a hang into a failure
+        code = textwrap.dedent("""
+            import json
+            import numpy as np
+            from sparseratio import (LeastSquares, SolverConfig,
+                                     criticality_residual, feasible_start,
+                                     run_mba)
+            s = 1e-4
+            model = LeastSquares(s * np.eye(2), s * np.array([1.9, 1.2]),
+                                 sigma=s * 0.2236)
+            res = run_mba(model, "ratio_l1_l2", feasible_start(model),
+                          SolverConfig())
+            print(json.dumps([res.status, res.criticality_residual,
+                              criticality_residual(model, [2.0, 1.0])]))
+        """)
+        src = str(Path(drivers_module.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        status, crit_final, crit_point = json.loads(out.stdout)
+        assert status == STATUS_CONVERGED
+        assert crit_final <= 1e-10
+        # [2, 1] lies outside the disk by q = 3e-14 (0.2236 < sqrt(0.05)),
+        # so the complementarity term lambda q ~ 1.4e-6 is what remains
+        assert crit_point <= 1e-5
+
+    @pytest.mark.parametrize("x", [[1.2, 0.1], [1.4, 0.2], [0.8, 0.3]])
+    def test_interior_non_critical_points_report_dist0(self, x):
+        # g points away from the subdifferential here, so the exact solve
+        # keeps lambda = 0 without any interior branch
+        model = disk_model()
+        x = np.array(x)
+        g = grad_p1(model, x) - subgrad_p2(model, x)
+        assert q_value(model, x) < -0.01
+        res, lam = drivers_module._kkt_residual(x, g, q_value(model, x))
+        assert lam == 0.0
+        dist0 = ratio_subdiff_distance_grid(x, g, [0.0])
+        assert res == criticality_residual(model, x) == pytest.approx(dist0, rel=1e-12)
+        assert res > 0.5
+
+    def test_slightly_interior_final_is_near_critical(self):
+        # a converged iterate pulled 1e-8 inside the boundary is still
+        # critical up to that gap: lambda stays near the boundary multiplier
+        # instead of being forced to 0 by a band on q
+        model = LeastSquares(np.eye(2), [1.9, 1.2], sigma=0.2236)
+        x = run_mba(model, OBJECTIVE_RATIO, feasible_start(model),
+                    SolverConfig(tol=1e-10)).x_final
+        x = model.b + (1.0 - 1e-8) * (x - model.b)
+        assert -1e-7 < q_value(model, x) < -1e-10
+        assert criticality_residual(model, x) <= 1e-6
+
+
+# magnitudes from a small set, so x_i ties, g_i ties and zeros are common
+_ENTRY = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0])
+_ANY = st.one_of(_ENTRY, st.floats(-4.0, 4.0))
+
+
+class TestExactKKTSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_grid_oracle(self, data):
+        n = data.draw(st.integers(1, 32))
+        x = np.array(data.draw(st.lists(_ANY, min_size=n, max_size=n)))
+        # the residual scales as 1/||x|| (checked below), so ||x||_inf = 1
+        # keeps the test-side objective representable
+        if not np.any(x):
+            x[0] = 1.0
+        x /= np.abs(x).max()
+        g = np.array(data.draw(st.one_of(
+            st.just([0.0] * n), st.lists(_ANY, min_size=n, max_size=n))))
+        q = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 0.0),
+                                st.floats(-1e-9, 0.0)))
+        res, lam = drivers_module._kkt_residual(x, g, q)
+
+        def f(t):
+            return kkt_objective(x, g, q, t)
+
+        assert lam >= 0.0 and np.isfinite(lam)
+        f_star = f(lam)
+        tol = 1e-12 * max(1.0, f(0.0))
+        assert res**2 == pytest.approx(f_star, rel=1e-9, abs=1e-15)
+        for other in (0.0, lam * (1 - 1e-6), lam * (1 + 1e-6), lam + 1e-6):
+            assert f_star <= f(other) + tol
+        # the grid oracle samples each zero coordinate's interval, so it can
+        # only overestimate the distance; the exact minimum must sit below
+        # every grid value and match the oracle at lambda*
+        nx = np.linalg.norm(x)
+        sample_err = np.sqrt(np.sum(x == 0)) * (2.0 / nx) / 2000
+
+        def oracle(t):
+            return np.hypot(ratio_subdiff_distance_grid(x, g, [t]), t * q)
+
+        grid = np.linspace(0.0, 2.0 * max(lam, 1.0), 41)
+        assert res <= min(oracle(t) for t in grid) + 1e-12
+        assert abs(oracle(lam) - res) <= sample_err + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-5, 1e5, 1e150])
+    def test_scale_covariance(self, scale):
+        # lambda* g balances a subdifferential of size 1/||x||, so
+        # residual(c x) = residual(x)/c and lambda*(c x) = lambda*(x)/c
+        x = np.array([0.5, 0.0, -1.0, 0.0, 0.25])
+        g = np.array([0.3, -0.2, 0.0, 1.0, -0.5])
+        res, lam = drivers_module._kkt_residual(x, g, -1e-3)
+        res_c, lam_c = drivers_module._kkt_residual(scale * x, g, -1e-3)
+        assert lam > 0.0
+        assert res_c == pytest.approx(res / scale, rel=1e-12)
+        assert lam_c == pytest.approx(lam / scale, rel=1e-12)
