@@ -92,10 +92,22 @@ class InnerLoopError(RuntimeError):
 class SolverConfig:
     """Tunables shared by both drivers.
 
-    tol drives the relative-step termination rule. sub_tol is passed to the
-    inner prox solvers. feas_tol is the absolute slack allowed on q at
-    accepted iterates (the subproblems are solved to finite accuracy, so
-    exact q <= 0 cannot be insisted on).
+    tol drives the relative-step termination rule. feas_tol is the absolute
+    slack allowed on q at accepted iterates (the subproblems are solved to
+    finite accuracy, so exact q <= 0 cannot be insisted on).
+
+    sub_tol and sub_max_iter go to the inner prox solvers. The ball prox is
+    solved in closed form and reads sub_tol as the allowed constraint error
+    of its point. The affine prox of run_algorithm1 is a dual Newton solve:
+    sub_tol is its relative duality-gap tolerance and sub_max_iter caps its
+    Newton iterations; at the cap it raises SubsolverError and the run ends
+    with status subsolver_failure. The most iterations one prox has needed
+    were 90 on noiseless 180x640 instances (100 of them) and 132 at
+    720x2560 (10), 63 on the noisy families at n = 512 and 1024, and 244 on
+    random problems whose column scales span 12 decades. The default cap of
+    500 leaves twice that and still ends a prox that cannot certify within
+    about a second at 180x640 (half a minute at 720x2560), so a stall
+    surfaces as a status, not a hang.
     """
 
     alpha: float = 1.0
@@ -104,7 +116,7 @@ class SolverConfig:
     tol: float = 1e-6
     max_outer_iters: int = 20_000
     sub_tol: float = 1e-12
-    sub_max_iter: int = 200_000
+    sub_max_iter: int = 500
     feas_tol: float = 1e-10
     record_trace: bool = True
     record_iterates: bool = False
@@ -449,8 +461,13 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]
     segment. One sort of the a_i, b_i and a cumulative sweep of S and C find
     the segment where h turns nonnegative, and mu* = C/S on it.
     """
-    nx = float(np.linalg.norm(x))
-    u = x / nx
+    # ||x|| as max|x_i| * ||x / max|x_i|||: np.linalg.norm squares the
+    # entries, so it reads 0 below a scale of about 1e-154 and inf above 1e154
+    big = float(np.abs(x).max())
+    u = x / big
+    unit_norm = float(np.linalg.norm(u))
+    u /= unit_norm
+    nx = big * unit_norm
     lo, hi = np.where(x != 0.0, np.sign(x) - float(np.abs(u).sum()) * u,
                       [[-1.0], [1.0]])
     t = -g

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 
 def grid_min_scalar(f, lo: float, hi: float, points: int = 4001, refinements: int = 4):
@@ -178,20 +179,26 @@ def projected_subgradient_ball(c, s, R, alpha, iters: int = 500_000):
     return avg / wsum
 
 
-def projected_subgradient_affine(A_list, b_list, c, alpha, iters: int = 500_000):
+def projected_subgradient_affine(A_list, b_list, c, alpha, iters: int = 500_000,
+                                 pinv=None):
     """Projected subgradient descent for min ||x||_1 + alpha/2 ||x-c||^2
     over {x : A x = b}, batched over problems of equal shapes.
 
     A_list: (batch, m, n); b_list: (batch, m); c: (batch, n); alpha: (batch,).
     Projection uses numpy's pinv directly (independent of the library's QR
-    route). Returns the weighted tail average, (batch, n).
+    route); pinv, (batch, n, m), defaults to np.linalg.pinv of each A.
+    Problems of different shapes share one batch when zero-padded: with
+    zero rows and columns in A, zeros in b and c, and each problem's own
+    pinv embedded in the padded pinv, a padded coordinate starts at 0 and
+    stays there. Returns the weighted tail average, (batch, n).
     """
     A = np.asarray(A_list, dtype=float)
     b = np.asarray(b_list, dtype=float)
     c = np.asarray(c, dtype=float)
     alpha = np.asarray(alpha, dtype=float)[:, None]
 
-    pinv = np.stack([np.linalg.pinv(Ai) for Ai in A])  # (batch, n, m)
+    if pinv is None:
+        pinv = np.stack([np.linalg.pinv(Ai) for Ai in A])
 
     def project(v):
         resid = np.einsum("bmn,bn->bm", A, v) - b
@@ -211,6 +218,54 @@ def projected_subgradient_affine(A_list, b_list, c, alpha, iters: int = 500_000)
             avg += w * x
             wsum += w
     return avg / wsum
+
+
+def splitting_prox_affine(c, A, b, alpha: float, tol: float = 1e-12,
+                          max_iter: int = 200_000):
+    """Affine-constrained l1 prox by operator splitting on x = z.
+
+    Solves min ||x||_1 + alpha/2 ||x - c||^2 s.t. Ax = b with penalty
+    rho = alpha:
+
+      x-update: soft((alpha c + rho z - u) / (alpha + rho), 1 / (alpha + rho))
+      z-update: orthogonal projection of x + u/rho onto {z : Az = b}
+      u-update: u += rho (x - z)
+
+    Stops when the primal residual ||x - z|| and the dual residual
+    rho ||z - z_prev|| both fall below tol * sqrt(n), and returns the exact
+    affine projection of the final x; raises RuntimeError after max_iter
+    iterations.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    Q, R = np.linalg.qr(A.T)
+    x_ln = Q @ solve_triangular(R, np.asarray(b, dtype=float), trans="T",
+                                lower=False)
+
+    def project(v):
+        # (I - Q Q^T) v + A^+ b
+        return v - Q @ (Q.T @ v) + x_ln
+
+    rho = alpha
+    z = project(c)
+    u = np.zeros(c.size)
+    thresh = tol * np.sqrt(c.size)
+    inv_tau = 1.0 / (alpha + rho)
+
+    for _ in range(max_iter):
+        v = (alpha * c + rho * z - u) * inv_tau
+        x = np.sign(v) * np.maximum(np.abs(v) - inv_tau, 0.0)
+        z_new = project(x + u / rho)
+        u = u + rho * (x - z_new)
+        primal = float(np.linalg.norm(x - z_new))
+        dual = rho * float(np.linalg.norm(z_new - z))
+        z = z_new
+        if primal <= thresh and dual <= thresh:
+            return project(x)
+    raise RuntimeError(
+        f"splitting did not converge in {max_iter} iterations "
+        f"(primal={primal:.3e}, dual={dual:.3e}, threshold={thresh:.3e})"
+    )
 
 
 def central_diff_gradient(f, x, h: float = 1e-6):

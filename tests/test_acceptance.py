@@ -175,26 +175,40 @@ def test_criterion_5_subproblem_oracles():
         worst_ball = max(worst_ball,
                          float(np.linalg.norm(xs - ref, axis=1).max()))
 
-    worst_gap = -np.inf
     groups = {}
-    for j in range(200):  # bucket by shape so the oracle can run batched
+    for j in range(200):  # 25 shapes (n, m), drawn one shape at a time
         n = 3 + j % 10
         m = 1 + j % min(6, n - 1)
         groups.setdefault((n, m), []).append(j)
+    # every problem zero-padded to (6, 12), so the oracle runs one batch
+    A_pad = np.zeros((200, 6, 12))
+    b_pad = np.zeros((200, 6))
+    c_pad = np.zeros((200, 12))
+    pinv_pad = np.zeros((200, 12, 6))
+    alpha = np.zeros(200)
+    problems = []
     for (n, m), idxs in groups.items():
         A = rng.standard_normal((len(idxs), m, n))
         b = np.einsum("bmn,bn->bm", A, rng.standard_normal((len(idxs), n)))
         c = rng.standard_normal((len(idxs), n))
-        alpha = rng.uniform(0.5, 4.0, len(idxs))
-        ref = projected_subgradient_affine(A, b, c, alpha, iters=500_000)
-        for i in range(len(idxs)):
-            x = prox_l1_affine(c[i], SensingMatrix(A[i]), b[i], alpha[i])
+        alpha[idxs] = rng.uniform(0.5, 4.0, len(idxs))
+        for i, j in enumerate(idxs):
+            A_pad[j, :m, :n] = A[i]
+            b_pad[j, :m] = b[i]
+            c_pad[j, :n] = c[i]
+            pinv_pad[j, :n, :m] = np.linalg.pinv(A[i])
+            problems.append((j, A[i], b[i], c[i]))
+    ref = projected_subgradient_affine(A_pad, b_pad, c_pad, alpha,
+                                       iters=500_000, pinv=pinv_pad)
 
-            def obj(v):
-                return float(np.abs(v).sum()
-                             + alpha[i] / 2.0 * np.sum((v - c[i]) ** 2))
+    worst_gap = -np.inf
+    for j, A, b, c in problems:
+        x = prox_l1_affine(c, SensingMatrix(A), b, alpha[j])
 
-            worst_gap = max(worst_gap, obj(x) - obj(ref[i]))
+        def obj(v):
+            return float(np.abs(v).sum() + alpha[j] / 2.0 * np.sum((v - c) ** 2))
+
+        worst_gap = max(worst_gap, obj(x) - obj(ref[j, :c.size]))
 
     elapsed = time.perf_counter() - t0
     ok = worst_ball <= 1e-5 and worst_gap <= 1e-6 and elapsed <= 300.0

@@ -184,6 +184,22 @@ class TestRunAlgorithm1:
         assert res.status == STATUS_SUBSOLVER_FAILURE
         assert res.iterations == 0
 
+    def test_noiseless_instance_that_capped_the_splitting(self):
+        # 180x640 Gaussian with unit columns, k = 20, b = A x_orig exactly,
+        # instance seed 7: the operator splitting ran into its 200k cap on
+        # one of these affine proxes
+        rng = np.random.default_rng(np.random.SeedSequence([7, 7]))
+        A = rng.standard_normal((180, 640))
+        A /= np.linalg.norm(A, axis=0)
+        x_orig = np.zeros(640)
+        x_orig[rng.permutation(640)[:20]] = rng.standard_normal(20)
+        b = A @ x_orig
+        sm = SensingMatrix(A)
+        res = run_algorithm1(sm, b, least_norm_solution(sm, b),
+                             SolverConfig(tol=1e-6))
+        assert res.status == STATUS_CONVERGED
+        assert rec_err(res.x_final, x_orig) <= 1e-8
+
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((8, 30))
@@ -440,7 +456,7 @@ class TestExactKKTSolve:
         assert res <= min(oracle(t) for t in grid) + 1e-12
         assert abs(oracle(lam) - res) <= sample_err + 1e-9
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-5, 1e5, 1e150])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-5, 1e5, 1e150, 1e300])
     def test_scale_covariance(self, scale):
         # lambda* g balances a subdifferential of size 1/||x||, so
         # residual(c x) = residual(x)/c and lambda*(c x) = lambda*(x)/c
@@ -449,5 +465,13 @@ class TestExactKKTSolve:
         res, lam = drivers_module._kkt_residual(x, g, -1e-3)
         res_c, lam_c = drivers_module._kkt_residual(scale * x, g, -1e-3)
         assert lam > 0.0
-        assert res_c == pytest.approx(res / scale, rel=1e-12)
-        assert lam_c == pytest.approx(lam / scale, rel=1e-12)
+        assert res_c == pytest.approx(res / scale, rel=1e-12, abs=0.0)
+        assert lam_c == pytest.approx(lam / scale, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-155, 1e-160, 1e-170, 1e-300])
+    def test_tiny_scale_public_call(self, s):
+        # the ratio's subdifferential at x = (s, 0) contains 0 (its first
+        # coordinate is exactly 0, its second an interval around 0), so
+        # lambda = 0 gives residual 0 at every scale s
+        model = LeastSquares(np.eye(2), [1.0, 0.0], np.sqrt(1.0 - 1e-11))
+        assert criticality_residual(model, [s, 0.0]) == 0.0
