@@ -34,6 +34,7 @@ from .models import (
     LeastSquares,
     SensingMatrix,
     _as_vector,
+    _full_norm,
     _grad_p1_of_residual,
     _q_of_residual,
     _subgrad_p2_of_residual,
@@ -106,8 +107,8 @@ class SolverConfig:
     720x2560 (10), 63 on the noisy families at n = 512 and 1024, and 244 on
     random problems whose column scales span 12 decades. The default cap of
     500 leaves twice that and still ends a prox that cannot certify within
-    about a second at 180x640 (half a minute at 720x2560), so a stall
-    surfaces as a status, not a hang.
+    about a second at 180x640 (about 15 s at 720x2560), so a stall surfaces
+    as a status, not a hang.
     """
 
     alpha: float = 1.0
@@ -461,13 +462,8 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]
     segment. One sort of the a_i, b_i and a cumulative sweep of S and C find
     the segment where h turns nonnegative, and mu* = C/S on it.
     """
-    # ||x|| as max|x_i| * ||x / max|x_i|||: np.linalg.norm squares the
-    # entries, so it reads 0 below a scale of about 1e-154 and inf above 1e154
-    big = float(np.abs(x).max())
-    u = x / big
-    unit_norm = float(np.linalg.norm(u))
-    u /= unit_norm
-    nx = big * unit_norm
+    nx = _full_norm(x)
+    u = x / nx
     lo, hi = np.where(x != 0.0, np.sign(x) - float(np.abs(u).sum()) * u,
                       [[-1.0], [1.0]])
     t = -g

@@ -33,6 +33,7 @@ from .models import (
     Lorentzian,
     RobustCS,
     SensingMatrix,
+    _as_vector,
     lorentzian_norm,
     q_value,
 )
@@ -338,9 +339,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     A = SensingMatrix(np.array(doc["matrix"], dtype=float))
     b = np.array(doc["b"], dtype=float)
     model = _model_from_params(doc["model"], A, b)
-    x_orig = np.array(doc["x_orig"], dtype=float)
+    x_orig = _as_vector(doc["x_orig"], A.n, "x_orig")
     spec = GenSpec(**doc["gen_spec"])
-    noise = {k: np.array(v, dtype=float)
+    noise = {k: _as_vector(v, None, f"noise_record[{k!r}]")
              for k, v in doc["noise_record"].items()}
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record=noise)
@@ -348,12 +349,18 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
 def _write_json(path, doc: dict):
     # json's float repr is the shortest round-trip decimal, so numeric
-    # fields survive a save/load cycle bit for bit
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    # fields survive a save/load cycle bit for bit; NaN and inf, which are
+    # not JSON, raise ValueError instead of being written as bare tokens
+    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def _read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
 
 
 def save_instance(inst: ProblemInstance, path):

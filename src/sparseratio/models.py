@@ -55,6 +55,16 @@ def _as_vector(v, length: int | None, name: str) -> np.ndarray:
     return v
 
 
+def _full_norm(v) -> float:
+    """||v||_2 as max|v_i| * ||v / max|v_i|||, 0 for v = 0.
+
+    np.linalg.norm squares the entries, so it reads 0 below a scale of
+    about 1e-154 and inf above 1e154; this form holds over the whole range.
+    """
+    big = float(np.abs(v).max())
+    return big * float(np.linalg.norm(v / big)) if big > 0.0 else 0.0
+
+
 class SensingMatrix:
     """Dense m-by-n sensing matrix with a cached thin QR of its transpose.
 

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
-from .models import SensingMatrix
+from .models import SensingMatrix, _full_norm
 
 __all__ = [
     "BallProxProblem",
@@ -141,8 +141,10 @@ def _ball_multiplier(c, s, R, alpha) -> float:
     d_N = np.concatenate((sgn * (u - 1.0) ** 2, -sgn * (u + 1.0) ** 2))[order]
     d_S = np.concatenate((-signed_sq, signed_sq))[order]
     N0, S0 = _segment_sums(active0, sigma0, u, s)
-    # phi at each breakpoint, from the state before that crossing
-    phi_right = ((N0 + (np.cumsum(d_N) - d_N)) / (alpha + bps[order]) ** 2
+    # phi at each breakpoint, from the state before that crossing; dividing
+    # twice lets N/(alpha + mu)^2 underflow to 0 where the square overflows
+    scale = alpha + bps[order]
+    phi_right = ((N0 + (np.cumsum(d_N) - d_N)) / scale / scale
                  + (np.cumsum(d_S) - d_S) + (S0 - R))
     hits = np.flatnonzero(phi_right <= 0.0)
     k = int(hits[0]) if hits.size else order.size
@@ -163,7 +165,12 @@ def _ball_multiplier(c, s, R, alpha) -> float:
             f"ball prox root lost to cancellation: R = {R:.3e} does not "
             f"exceed the inactive mass S = {S:.3e} on its segment"
         )
-    return min(max(math.sqrt(N / (R - S)) - alpha, lo), hi)
+    ratio = N / (R - S)
+    # the quotient overflows for R far below N (a subnormal R, say) while
+    # its root is still finite
+    root = (math.sqrt(ratio) if ratio < math.inf
+            else math.sqrt(N) / math.sqrt(R - S))
+    return min(max(root - alpha, lo), hi)
 
 
 def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
@@ -283,6 +290,29 @@ def _dual_step(v, w, tau, k) -> float:
     return min(max(C / S, lo), hi) if S > 0.0 else lo
 
 
+def _piece_correction(lu, Q_J, z, F, rho) -> np.ndarray:
+    """Q_J z for a solution z of (Q_J^T Q_J / alpha) z = -F in least squares.
+
+    lu factors H = Q_J^T Q_J / alpha + rho I and z enters as the ridged
+    solution H^{-1}(-F). Each pass z <- H^{-1}(rho z - F) (iterated
+    Tikhonov) multiplies the error of Q_J z along an eigenvector of
+    Q_J^T Q_J / alpha with eigenvalue g by rho / (g + rho), and Q_J maps the
+    null-space part of z to 0, so Q_J z converges to alpha times the
+    minimum-norm least-squares solution of Q_J^T delta = -F. Passes stop
+    once one no longer halves the change: the contraction is slow (rho is
+    large next to g, early in the solve) or round-off has been reached.
+    """
+    u = Q_J @ z
+    change = math.inf
+    while True:
+        z = lu_solve(lu, rho * z - F)
+        u_next = Q_J @ z
+        last, change = change, float(np.abs(u_next - u).max(initial=0.0))
+        u = u_next
+        if not change < 0.5 * last:
+            return u
+
+
 def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
                    tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
     """min P(x) = ||x||_1 + alpha/2 ||x - c||^2  subject to  Ax = b.
@@ -292,20 +322,29 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     Lagrangian is minimized by x(y) = soft_threshold(v, 1/alpha),
     v = c + Q y / alpha, and the dual theta(y) = P(x(y)) - y . F(y) is
     concave and C^1 with gradient -F(y), F(y) = Q^T (x(y) - x_ln), whose
-    norm is the distance of x(y) to the affine set. Each step is semismooth Newton on
-    the dual with a Levenberg-Marquardt ridge ||F||: it solves
+    norm is the distance of x(y) to the affine set. Each step is semismooth
+    Newton on the dual with a Levenberg-Marquardt ridge ||F||: it solves
     (Q_J^T Q_J / alpha + ||F|| I) d = -F over the rows J where x(y) is
     nonzero, then takes the exact maximizing step along d (one sort of the
     breakpoints, see _dual_step).
 
-    The stop is a certificate. Each step builds the exact piece solution
-    x_hat for the support and signs of x(y): x(y) corrected by the
-    least-squares solution on those coordinates of Q_J^T delta = -F, then
-    projected onto Ax = b exactly. x_hat is feasible, so the duality gap
-    P(x_hat) - theta(y) bounds P(x_hat) - min P, and by alpha-strong
-    convexity ||x_hat - x*||^2 <= 2 gap / alpha. x_hat is returned once
-    gap <= tol * max(1, P(x_hat)); SubsolverError is raised if max_iter
-    steps pass first.
+    The stop is a certificate built from the same factorization. x_hat is
+    x(y) corrected on the rows J by the minimum-norm least-squares solution
+    of Q_J^T delta = -F (the exact solution on the piece where x(y) keeps
+    its support and signs), zero elsewhere, and projected onto Ax = b
+    exactly. The correction comes from the ridged factor by iterated
+    Tikhonov passes (see _piece_correction), so no second matrix is
+    factored. x_hat is feasible, so the duality gap P(x_hat) - theta(y)
+    bounds P(x_hat) - min P, and by alpha-strong convexity
+    ||x_hat - x*||^2 <= 2 gap / alpha. x_hat is returned once
+    gap <= tol * P(x_hat), a bound relative to the problem's own scale;
+    SubsolverError is raised if max_iter steps pass first. x(y) carries
+    round-off of about eps / alpha in absolute terms, so a problem whose
+    solution lies far below that (b and c below about 1e-15 / alpha)
+    cannot certify and ends in SubsolverError. ||F|| is taken as
+    max|F_i| ||F / max|F_i|||, which neither underflows nor overflows, so
+    the ridge stays positive while F != 0; at F = 0, x(y) is feasible and
+    d = 0.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -330,23 +369,25 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
         v = c + (Q @ y) * tau
         x = soft_threshold(v, tau)
         F = Q.T @ x - qx_ln
-        J = np.flatnonzero(x)
-        Q_J = Q[J]
-        x_hat = np.zeros(A.n)
-        # gelsy (pivoted QR) gives the minimum-norm least-squares solution
-        # like the default SVD driver, a few times faster at these shapes
-        x_hat[J] = x[J] + lstsq(Q_J.T, -F, lapack_driver="gelsy")[0]
+        nonzero = x != 0.0
+        d = np.zeros(A.m)
+        x_hat = x.copy()
+        nf = _full_norm(F)
+        if nf > 0.0:
+            Q_J = Q[nonzero]
+            H = (Q_J.T @ Q_J) * tau
+            H[np.diag_indices_from(H)] += nf
+            lu = lu_factor(H)
+            d = lu_solve(lu, -F)
+            x_hat[nonzero] += _piece_correction(lu, Q_J, d, F, nf) * tau
+        w = (Q @ d) * tau
         x_hat = x_hat - Q @ (Q.T @ x_hat) + x_ln
         p_hat = _objective(x_hat, c, alpha)
         gap = p_hat - (_objective(x, c, alpha) - float(y @ F))
-        if gap <= tol * max(1.0, p_hat):
+        if gap <= tol * p_hat:
             return x_hat
-        H = (Q_J.T @ Q_J) * tau
-        H[np.diag_indices_from(H)] += float(np.linalg.norm(F))
-        d = np.linalg.solve(H, -F)
-        w = (Q @ d) * tau
         y = y + _dual_step(v, w, tau, float(w @ x_ln)) * d
     raise SubsolverError(
         f"affine prox dual Newton did not certify in {max_iter} steps "
-        f"(duality gap {gap:.3e} > {tol * max(1.0, p_hat):.3e})"
+        f"(duality gap {gap:.3e} > {tol * p_hat:.3e})"
     )

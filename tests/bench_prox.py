@@ -1,19 +1,31 @@
-"""Micro-benchmark of the exact ball prox at the solver's problem sizes.
+"""Micro-benchmarks of the ball and affine l1 proxes at the solver's sizes.
 
 The file name keeps it out of the default ``test_*.py`` collection; run it
 explicitly with pytest-benchmark:
 
     PYTHONPATH=src python -m pytest tests/bench_prox.py
 
-Each case is one moving-balls step's subproblem with an active ball and
-alpha = 1: a sparse prox centre c, a dense ball centre s near it, and a
+Each ball case is one moving-balls step's subproblem with an active ball
+and alpha = 1: a sparse prox centre c, a dense ball centre s near it, and a
 radius a quarter of the unconstrained prox's squared distance to s.
+
+Each affine case is the first prox of run_algorithm1 (alpha = 1, default
+tolerance and cap) from the least-norm start on a noiseless instance: a
+Gaussian A with unit columns, a k-sparse x_orig and b = A x_orig, drawn as
+perfbench's noiseless_algorithm1 draws its instance seed 3.
 """
 
 import numpy as np
 import pytest
 
-from sparseratio.subsolvers import BallProxProblem, prox_l1_ball, soft_threshold
+from sparseratio.models import SensingMatrix
+from sparseratio.subsolvers import (
+    BallProxProblem,
+    least_norm_solution,
+    prox_l1_affine,
+    prox_l1_ball,
+    soft_threshold,
+)
 
 
 def active_ball_problem(n: int) -> BallProxProblem:
@@ -31,3 +43,32 @@ def test_prox_l1_ball_active(benchmark, n):
     problem = active_ball_problem(n)
     sol = benchmark(prox_l1_ball, problem)
     assert sol.active
+
+
+def first_affine_prox(m: int, n: int, k: int):
+    """(c, A, b) of run_algorithm1's first prox, alpha = 1."""
+    rng = np.random.default_rng(np.random.SeedSequence([3, 7]))
+    A = rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    x_orig = np.zeros(n)
+    x_orig[rng.permutation(n)[:k]] = rng.standard_normal(k)
+    sm = SensingMatrix(A)
+    b = A @ x_orig
+    x = least_norm_solution(sm, b)
+    norm = float(np.linalg.norm(x))
+    omega = float(np.abs(x).sum()) / norm
+    c = (1.0 + omega / norm) * x
+    return c, sm, b
+
+
+@pytest.mark.parametrize("m, n, k, rounds", [(180, 640, 20, None),
+                                              (720, 2560, 80, 3)])
+def test_prox_l1_affine(benchmark, m, n, k, rounds):
+    c, sm, b = first_affine_prox(m, n, k)
+    if rounds is None:
+        x = benchmark(prox_l1_affine, c, sm, b, 1.0)
+    else:
+        # a few seconds per call at this size
+        x = benchmark.pedantic(prox_l1_affine, args=(c, sm, b, 1.0),
+                               rounds=rounds, iterations=1)
+    assert np.linalg.norm(sm.entries @ x - b) <= 1e-10 * np.linalg.norm(b)

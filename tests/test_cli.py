@@ -265,3 +265,72 @@ class TestCheck:
         rc = main(["check", "--instance", str(cauchy_instance)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+
+def _inject(path, token):
+    """A fault that writes the raw JSON token in place of the first number
+    under doc[path[0]][path[1]]..."""
+    def apply(doc):
+        target = doc
+        for key in path:
+            target = target[key]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = "<inject>"
+        return json.dumps(doc).replace('"<inject>"', token)
+    return apply
+
+
+def _edit(change):
+    def apply(doc):
+        change(doc)
+        return json.dumps(doc)
+    return apply
+
+
+# 1e400 is valid JSON that parses to inf, so it reaches the loader's own
+# checks; NaN and -Infinity are stopped by the reader
+_FAULTS = {
+    **{f"{name}-{token}": _inject(path, token)
+       for name, path in [("matrix", ["matrix"]), ("b", ["b"]),
+                          ("x_orig", ["x_orig"]),
+                          ("noise", ["noise_record", "epsilon"])]
+       for token in ["NaN", "-Infinity", "1e400"]},
+    "short-x_orig": _edit(lambda doc: doc["x_orig"].pop()),
+    "unknown-variant": _edit(lambda doc: doc["model"].update(variant="huber")),
+    "unknown-format": _edit(lambda doc: doc.update(format_version=99)),
+}
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_loader_rejects_fault(self, cauchy_instance, fault, command,
+                                  tmp_path, capsys):
+        doc = json.loads(cauchy_instance.read_text())
+        cauchy_instance.write_text(_FAULTS[fault](doc))
+        out = tmp_path / "result.json"
+        argv = [command, "--instance", str(cauchy_instance)]
+        if command == "solve":
+            argv += ["--out", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_check_rejects_non_finite_result(self, cauchy_instance, tmp_path,
+                                             capsys):
+        result = tmp_path / "result.json"
+        assert main(["solve", "--instance", str(cauchy_instance),
+                     "--out", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        doc["x_final"][0] = "<inject>"
+        result.write_text(json.dumps(doc).replace('"<inject>"', "NaN"))
+        capsys.readouterr()
+        rc = main(["check", "--instance", str(cauchy_instance),
+                   "--result", str(result)])
+        assert rc == 1
+        assert "error: non-finite JSON constant NaN" in capsys.readouterr().err

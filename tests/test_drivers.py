@@ -200,6 +200,24 @@ class TestRunAlgorithm1:
         assert res.status == STATUS_CONVERGED
         assert rec_err(res.x_final, x_orig) <= 1e-8
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-7])
+    def test_noiseless_instance_scaled_down(self, scale):
+        # the prox's x_hat is exact on its piece, so recovery stays exact
+        # relative to x_orig when x_orig is far below c_t, whose size
+        # omega/alpha does not scale with x
+        rng = np.random.default_rng(np.random.SeedSequence([3, 7]))
+        A = rng.standard_normal((180, 640))
+        A /= np.linalg.norm(A, axis=0)
+        x_orig = np.zeros(640)
+        x_orig[rng.permutation(640)[:20]] = rng.standard_normal(20) * scale
+        b = A @ x_orig
+        sm = SensingMatrix(A)
+        res = run_algorithm1(sm, b, least_norm_solution(sm, b),
+                             SolverConfig(tol=1e-6))
+        assert res.status == STATUS_CONVERGED
+        assert (np.linalg.norm(res.x_final - x_orig)
+                <= 1e-8 * np.linalg.norm(x_orig))
+
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((8, 30))

@@ -1,5 +1,7 @@
 """Seeded generators, recovery metrics, and file round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -269,4 +271,40 @@ class TestPersistence:
         doc = path.read_text().replace('"format_version": 1', '"format_version": 3')
         path.write_text(doc)
         with pytest.raises(ValueError):
+            load_result(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("x_orig", math.nan),
+        ("x_orig", math.inf),
+        ("epsilon", -math.inf),
+        ("epsilon", math.nan),
+    ])
+    def test_non_finite_arrays_rejected(self, field, value):
+        doc = instance_to_dict(gen_cauchy(n=32, m=12, k=3, seed=5))
+        target = doc["x_orig"] if field == "x_orig" else doc["noise_record"][field]
+        target[0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            instance_from_dict(doc)
+
+    def test_short_x_orig_rejected(self):
+        doc = instance_to_dict(gen_cauchy(n=32, m=12, k=3, seed=5))
+        doc["x_orig"] = doc["x_orig"][:-1]
+        with pytest.raises(ValueError, match="x_orig must have length 32"):
+            instance_from_dict(doc)
+
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        payload = {"run_config": {}, "status": "converged",
+                   "metrics": {"rec_err": math.nan}}
+        path = tmp_path / "result.json"
+        with pytest.raises(ValueError):
+            save_result(payload, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected_on_read(self, tmp_path, token):
+        path = tmp_path / "result.json"
+        save_result({"run_config": {}, "status": "converged",
+                     "metrics": {"rec_err": 0.5}}, path)
+        path.write_text(path.read_text().replace("0.5", token))
+        with pytest.raises(ValueError, match="non-finite JSON constant"):
             load_result(path)

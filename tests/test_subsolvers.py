@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from sparseratio.models import SensingMatrix
 from sparseratio.subsolvers import (
@@ -168,9 +169,9 @@ class TestProxL1Ball:
         assert float(sol.x[0]) == pytest.approx(1e-20, rel=1e-12)
 
     def test_pathological_scaling_raises(self):
-        # the multiplier sqrt(N/R) - alpha = 1e150/1e-150 overflows; a NaN
+        # the multiplier sqrt(N/R) - alpha = 1e150/1e-160 overflows; a NaN
         # point must never come back
-        p = BallProxProblem(c=[1e150], s=[0.0], R=1e-300, alpha=1.0)
+        p = BallProxProblem(c=[1e150], s=[0.0], R=1e-320, alpha=1.0)
         with pytest.raises(SubsolverError):
             prox_l1_ball(p)
 
@@ -305,6 +306,22 @@ class TestExactBallSolve:
         ulp_s = np.finfo(float).eps * float(np.abs(s).max())
         assert_matches_bisection(p, sol, kkt_tol=8.0 * sol.mu * ulp_s)
 
+    @pytest.mark.parametrize("c, s, R, N", [
+        (0.0, 3.68340926e-161, 6.8e-322, (1.0 + 3.68340926e-161) ** 2),
+        (1e150, 0.0, 1e-300, (1e150 - 1.0) ** 2),
+    ])
+    def test_root_past_overflowing_quotient(self, c, s, R, N):
+        # one coordinate, active on the root's segment, where
+        # phi(mu) = N/(1 + mu)^2 - R: N/R overflows, but the root
+        # mu = sqrt(N)/sqrt(R) - 1 (about 3.8e160 and 1e300) does not
+        p = BallProxProblem(c=[c], s=[s], R=R, alpha=1.0)
+        sol = prox_l1_ball(p)
+        assert sol.active
+        assert sol.mu == pytest.approx(np.sqrt(N) / np.sqrt(R) - 1.0, rel=1e-12)
+        x_ref, _ = bisection_prox_ball(p.c, p.s, p.R, p.alpha)
+        assert sol.x[0] == pytest.approx(x_ref[0], rel=1e-10)
+        assert abs(ball_gap(sol, p)) <= 1e-12 * max(p.R, 1.0)
+
     @settings(max_examples=300, deadline=None)
     @given(ball_problems())
     def test_matches_reference_bisection(self, p):
@@ -422,6 +439,42 @@ class TestProxL1Affine:
         with pytest.raises(ValueError):
             prox_l1_affine([np.nan, 0.0], A, [1.0], alpha=1.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", [1e-6, 1e-10, 1e-14])
+    def test_small_scale_matches_basis_pursuit(self, scale, seed):
+        # with b and c at scale s the problem is s times the unit-scale one
+        # with alpha s, and for alpha s this small its solution is the basis
+        # pursuit solution min ||x||_1 over Ax = b/s; the error is measured
+        # against x itself, so a stop that is absolute below P = 1 would
+        # return a point of the right size but the wrong support
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((30, 90))
+        b = A @ rng.standard_normal(90)
+        c = rng.standard_normal(90)
+        x = prox_l1_affine(c * scale, SensingMatrix(A), b * scale, 1.0)
+        lp = linprog(np.ones(180), A_eq=np.hstack([A, -A]), b_eq=b,
+                     bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+        x_bp = lp.x[:90] - lp.x[90:]
+        assert np.linalg.norm(x / scale - x_bp) <= 1e-9 * np.linalg.norm(x_bp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", [1e-150, 1e-250])
+    def test_tiny_scale_raises_typed(self, scale, seed):
+        # x(y) = soft_threshold(v, 1/alpha) carries round-off of about
+        # eps/alpha, far above an x* of this scale, so the gap cannot reach
+        # tol * P(x_hat): the solve must end in SubsolverError, not in an
+        # uncertified point, and not in numpy's untyped LinAlgError: at
+        # 1e-250 the Newton matrix at x(0) = 0 is ||F|| I, and
+        # np.linalg.norm(F) underflows to 0 there
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((4, 9))
+        b = A @ rng.standard_normal(9) * scale
+        c = rng.standard_normal(9) * scale
+        with pytest.raises(SubsolverError):
+            prox_l1_affine(c, SensingMatrix(A), b, 1.0)
+
     @settings(max_examples=200, deadline=None)
     @given(affine_problems())
     def test_matches_reference_splitting(self, problem):
@@ -440,10 +493,10 @@ class TestProxL1Affine:
             # tiny but nonzero against 1/alpha; no reference, no comparison
             reject()
         assert np.linalg.norm(x - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
-        # the certificate: P(x) - min P <= tol max(1, P(x)), and the feasible
+        # the certificate: P(x) - min P <= tol P(x), and the feasible
         # reference bounds min P from above
         p_x = ball_objective(x, c, alpha)
-        assert p_x - ball_objective(ref, c, alpha) <= tol * max(1.0, p_x)
+        assert p_x - ball_objective(ref, c, alpha) <= tol * p_x
 
 
 def dual_slope(v, w, tau, k, t):
