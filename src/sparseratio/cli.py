@@ -18,8 +18,8 @@ Pipelines:
 * ``mba_l1``: plain l1 objective from the least-norm start.
 * ``algorithm1``: the noiseless equality-constrained solver (ignores the
   instance's noise model; of interest on exact-measurement data).
-* ``two_stage``: plain l1 warm start at ``warm_tol``, feasibility blend,
-  then the ratio stage at ``tol``.
+* ``two_stage``: plain l1 warm start at ``warm_tol``, then the ratio stage
+  at ``tol`` from the warm iterate.
 
 A bench plan file is a JSON document::
 
@@ -37,6 +37,7 @@ A bench plan file is a JSON document::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -45,6 +46,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from statistics import mean, median
 
@@ -55,6 +57,7 @@ from .drivers import (
     OBJECTIVE_RATIO,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
+    STATUS_SUBSOLVER_FAILURE,
     InfeasibleStartError,
     InnerLoopError,
     IterateTrace,
@@ -105,6 +108,13 @@ PIPELINES = (PIPELINE_MBA_RATIO, PIPELINE_MBA_L1, PIPELINE_ALGORITHM1,
              PIPELINE_TWO_STAGE)
 
 _OK_STATUSES = (STATUS_CONVERGED, STATUS_MAX_ITERS)
+# the typed errors a run can raise before its first accepted step, and the
+# status a bench row records for each
+_ERROR_STATUSES = {
+    InfeasibleStartError: "infeasible_start",
+    InnerLoopError: "inner_loop_failure",
+    SubsolverError: STATUS_SUBSOLVER_FAILURE,
+}
 
 _ROW_TAIL = ("seed", "rec_err", "residual", "iters", "status",
              "t_gen", "t_warm", "t_main", "warm_rec_err")
@@ -171,57 +181,52 @@ def run_pipeline(model, pipeline: str, cfg: SolverConfig,
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 
-    if pipeline != PIPELINE_TWO_STAGE:
-        t0 = time.perf_counter()
-        if pipeline == PIPELINE_ALGORITHM1:
-            x0 = least_norm_solution(model.A, model.b)
-            res = run_algorithm1(model.A, model.b, x0, cfg)
-        else:
-            objective = (OBJECTIVE_RATIO if pipeline == PIPELINE_MBA_RATIO
-                         else OBJECTIVE_PLAIN_L1)
-            x0 = feasible_start(model, None, cfg.feas_tol)
-            res = run_mba(model, objective, x0, cfg)
-        t_main = time.perf_counter() - t0
-        return PipelineResult(
-            x_final=res.x_final, status=res.status,
-            iterations=res.iterations, warm_iterations=0, warm_x=None,
-            criticality_residual=res.criticality_residual,
-            t_warm=0.0, t_main=t_main, warm_trace=None, main_trace=res.trace)
-
-    warm_cfg = dataclasses.replace(
-        cfg, tol=cfg.tol if warm_tol is None else warm_tol)
+    warm = None
+    t_warm = 0.0
     t0 = time.perf_counter()
-    x0 = feasible_start(model, None, cfg.feas_tol)
-    warm = run_mba(model, OBJECTIVE_PLAIN_L1, x0, warm_cfg)
-    t_warm = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    x1 = feasible_start(model, warm.x_final, cfg.feas_tol)
-    res = run_mba(model, OBJECTIVE_RATIO, x1, cfg)
-    t_main = time.perf_counter() - t1
+    if pipeline == PIPELINE_ALGORITHM1:
+        x0 = least_norm_solution(model.A, model.b)
+        res = run_algorithm1(model.A, model.b, x0, cfg)
+    else:
+        x0 = feasible_start(model, cfg.feas_tol)
+        if pipeline == PIPELINE_TWO_STAGE:
+            warm_cfg = dataclasses.replace(
+                cfg, tol=cfg.tol if warm_tol is None else warm_tol)
+            warm = run_mba(model, OBJECTIVE_PLAIN_L1, x0, warm_cfg)
+            x0 = warm.x_final
+            t1 = time.perf_counter()
+            t_warm, t0 = t1 - t0, t1
+        objective = (OBJECTIVE_PLAIN_L1 if pipeline == PIPELINE_MBA_L1
+                     else OBJECTIVE_RATIO)
+        res = run_mba(model, objective, x0, cfg)
+    t_main = time.perf_counter() - t0
+    warm_iterations = warm.iterations if warm else 0
     return PipelineResult(
         x_final=res.x_final, status=res.status,
-        iterations=warm.iterations + res.iterations,
-        warm_iterations=warm.iterations, warm_x=warm.x_final,
+        iterations=warm_iterations + res.iterations,
+        warm_iterations=warm_iterations,
+        warm_x=warm.x_final if warm else None,
         criticality_residual=res.criticality_residual,
         t_warm=t_warm, t_main=t_main,
-        warm_trace=warm.trace, main_trace=res.trace)
+        warm_trace=warm.trace if warm else None, main_trace=res.trace)
 
 
-def _bench_worker(family: str, cell: dict, seed: int, pipeline: str,
-                  cfg: SolverConfig, warm_tol: float | None,
-                  keep_result: bool):
+def _bench_worker(plan: BenchPlan, keep_result: bool, cell: dict,
+                  seed: int):
     """One (cell, seed) run. Must stay module-level for process pools."""
     t0 = time.perf_counter()
-    inst = generate(GenSpec(family=family, seed=seed, **cell))
+    inst = generate(GenSpec(family=plan.family, seed=seed, **cell))
     t_gen = time.perf_counter() - t0
 
-    row = {"family": family, **cell, "seed": seed, "t_gen": t_gen}
+    row = {"family": plan.family, **cell, "seed": seed, "t_gen": t_gen}
     try:
-        pres = run_pipeline(inst.model, pipeline, cfg, warm_tol)
-    except (InfeasibleStartError, InnerLoopError, SubsolverError) as exc:
+        pres = run_pipeline(inst.model, plan.pipeline, plan.config,
+                            plan.warm_tol)
+    except tuple(_ERROR_STATUSES) as exc:
+        status = next(s for cls, s in _ERROR_STATUSES.items()
+                      if isinstance(exc, cls))
         row.update(rec_err=math.nan, residual=math.nan, iters=0,
-                   status=_error_status(exc), t_warm=math.nan,
+                   status=status, t_warm=math.nan,
                    t_main=math.nan, warm_rec_err=math.nan)
         return row, None
 
@@ -235,57 +240,54 @@ def _bench_worker(family: str, cell: dict, seed: int, pipeline: str,
     return row, (pres if keep_result else None)
 
 
-def _error_status(exc: Exception) -> str:
-    if isinstance(exc, InfeasibleStartError):
-        return "infeasible_start"
-    if isinstance(exc, InnerLoopError):
-        return "inner_loop_failure"
-    return "subsolver_failure"
-
-
 def run_bench_plan(plan: BenchPlan, jobs: int = 1,
                    keep_results: bool = False,
                    progress=None) -> BenchReport:
     """Run every (cell, seed) pair of a plan.
 
-    Results are assembled in plan order whatever the scheduling, so a rerun
-    with the same plan reproduces the row list bitwise. ``progress`` is an
-    optional callable fed each finished row.
+    Results come back in plan order whatever ``jobs`` is, so a rerun with
+    the same plan reproduces the row list bitwise. ``progress`` is an
+    optional callable fed each row in that order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(cell, seed) for cell in plan.cells for seed in plan.seeds]
-    outputs: list[tuple[dict, PipelineResult | None]] = [None] * len(tasks)
-
-    if jobs == 1:
-        for i, (cell, seed) in enumerate(tasks):
-            outputs[i] = _bench_worker(plan.family, cell, seed, plan.pipeline,
-                                       plan.config, plan.warm_tol,
-                                       keep_results)
+    cells = [cell for cell in plan.cells for _ in plan.seeds]
+    seeds = [seed for _ in plan.cells for seed in plan.seeds]
+    worker = partial(_bench_worker, plan, keep_results)
+    rows, results = [], []
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        outputs = (map if pool is None else pool.map)(worker, cells, seeds)
+        for row, pres in outputs:
+            rows.append(row)
+            results.append(pres)
             if progress is not None:
-                progress(outputs[i][0])
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_bench_worker, plan.family, cell, seed,
-                            plan.pipeline, plan.config, plan.warm_tol,
-                            keep_results): i
-                for i, (cell, seed) in enumerate(tasks)
-            }
-            for fut, i in futures.items():
-                outputs[i] = fut.result()
-                if progress is not None:
-                    progress(outputs[i][0])
+                progress(row)
 
-    rows = [out[0] for out in outputs]
-    results = [out[1] for out in outputs] if keep_results else None
-    aggregates = compute_aggregates(plan, rows)
-    return BenchReport(plan=plan, rows=rows, aggregates=aggregates,
-                       results=results)
+    return BenchReport(plan=plan, rows=rows,
+                       aggregates=compute_aggregates(plan, rows),
+                       results=results if keep_results else None)
+
+
+# aggregate column -> (row column, statistic over the successful runs)
+_AGGREGATES = {
+    "rec_err_mean": ("rec_err", mean),
+    "rec_err_median": ("rec_err", median),
+    "residual_mean": ("residual", mean),
+    "t_gen_mean": ("t_gen", mean),
+    "t_warm_mean": ("t_warm", mean),
+    "t_main_mean": ("t_main", mean),
+    "warm_rec_err_mean": ("warm_rec_err", mean),
+    "warm_rec_err_median": ("warm_rec_err", median),
+}
 
 
 def compute_aggregates(plan: BenchPlan, rows: list[dict]) -> list[dict]:
-    """Per-cell mean/median summaries over the successful runs."""
+    """Per-cell mean/median summaries over the successful runs.
+
+    A cell without one successful run gets nan for every statistic, and so
+    do the warm columns of a pipeline without a warm stage.
+    """
     params = FAMILY_PARAMS[plan.family]
     aggs = []
     for cell in plan.cells:
@@ -294,49 +296,29 @@ def compute_aggregates(plan: BenchPlan, rows: list[dict]) -> list[dict]:
         ok = [r for r in cell_rows if r["status"] in _OK_STATUSES]
         agg = {"family": plan.family, **cell, "pipeline": plan.pipeline,
                "n_ok": len(ok), "failures": len(cell_rows) - len(ok)}
-        if ok:
-            agg.update(
-                rec_err_mean=mean(r["rec_err"] for r in ok),
-                rec_err_median=median(r["rec_err"] for r in ok),
-                residual_mean=mean(r["residual"] for r in ok),
-                t_gen_mean=mean(r["t_gen"] for r in ok),
-                t_warm_mean=mean(r["t_warm"] for r in ok),
-                t_main_mean=mean(r["t_main"] for r in ok),
-            )
-            warm = [r["warm_rec_err"] for r in ok
-                    if not math.isnan(r["warm_rec_err"])]
-            agg["warm_rec_err_mean"] = mean(warm) if warm else math.nan
-            agg["warm_rec_err_median"] = median(warm) if warm else math.nan
-        else:
-            for key in ("rec_err_mean", "rec_err_median", "residual_mean",
-                        "t_gen_mean", "t_warm_mean", "t_main_mean",
-                        "warm_rec_err_mean", "warm_rec_err_median"):
-                agg[key] = math.nan
+        for key, (column, stat) in _AGGREGATES.items():
+            agg[key] = stat([r[column] for r in ok]) if ok else math.nan
         aggs.append(agg)
     return aggs
 
 
-def write_rows_csv(report: BenchReport, path):
-    params = FAMILY_PARAMS[report.plan.family]
-    header = ["family", *params, *_ROW_TAIL]
+def _write_csv(path, header: list[str], records: list[dict]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in report.rows:
-            writer.writerow([row[col] for col in header])
+        for record in records:
+            writer.writerow([record[col] for col in header])
+
+
+def write_rows_csv(report: BenchReport, path):
+    params = FAMILY_PARAMS[report.plan.family]
+    _write_csv(path, ["family", *params, *_ROW_TAIL], report.rows)
 
 
 def write_aggregate_csv(report: BenchReport, path):
     params = FAMILY_PARAMS[report.plan.family]
-    header = ["family", *params, "pipeline", "n_ok", "failures",
-              "rec_err_mean", "rec_err_median", "residual_mean",
-              "t_gen_mean", "t_warm_mean", "t_main_mean",
-              "warm_rec_err_mean", "warm_rec_err_median"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for agg in report.aggregates:
-            writer.writerow([agg[col] for col in header])
+    _write_csv(path, ["family", *params, "pipeline", "n_ok", "failures",
+                      *_AGGREGATES], report.aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +367,13 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-_SOLVER_FLAGS = ("alpha", "l_min", "l_max", "tol", "max_outer_iters",
-                 "sub_tol", "sub_max_iter", "feas_tol")
+# every numeric SolverConfig field is a flag of the same name
+_SOLVER_FLAGS = {f.name: int if f.type == "int" else float
+                 for f in dataclasses.fields(SolverConfig) if f.type != "bool"}
+_SOLVER_FLAG_HELP = {
+    "tol": "outer relative-step tolerance",
+    "alpha": "proximal weight of the l1 subproblem",
+}
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -556,8 +543,7 @@ def _cmd_check(args) -> int:
 
     if args.result:
         doc = load_result(args.result)
-        known = set(_OK_STATUSES) | {"subsolver_failure", "infeasible_start",
-                                     "inner_loop_failure"}
+        known = {*_OK_STATUSES, *_ERROR_STATUSES.values()}
         all_ok &= _check_line("result status known",
                               doc["status"] in known,
                               f"{doc['status']!r}")
@@ -585,7 +571,7 @@ def _check_trace(doc: dict) -> bool:
     """Monotonicity and feasibility of a stored trace."""
     ok = True
     pipeline = doc["run_config"].get("pipeline")
-    feas_tol = doc["run_config"].get("feas_tol", 1e-10)
+    feas_tol = doc["run_config"].get("feas_tol", SolverConfig.feas_tol)
     for stage, trace in doc["trace"].items():
         if trace is None:
             continue
@@ -609,22 +595,13 @@ def _check_trace(doc: dict) -> bool:
 
 def _add_solver_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("solver options")
-    group.add_argument("--tol", type=float, default=None,
-                       help="outer relative-step tolerance")
+    for name, kind in _SOLVER_FLAGS.items():
+        group.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                           default=None, dest=name,
+                           help=_SOLVER_FLAG_HELP.get(name))
     group.add_argument("--warm-tol", type=float, default=None, dest="warm_tol",
                        help="tolerance of the two_stage warm stage "
                             "(default: same as --tol)")
-    group.add_argument("--alpha", type=float, default=None,
-                       help="proximal weight of the l1 subproblem")
-    group.add_argument("--l-min", type=float, default=None, dest="l_min")
-    group.add_argument("--l-max", type=float, default=None, dest="l_max")
-    group.add_argument("--max-outer-iters", type=int, default=None,
-                       dest="max_outer_iters")
-    group.add_argument("--sub-tol", type=float, default=None, dest="sub_tol")
-    group.add_argument("--sub-max-iter", type=int, default=None,
-                       dest="sub_max_iter")
-    group.add_argument("--feas-tol", type=float, default=None,
-                       dest="feas_tol")
     group.add_argument("--config", default=None,
                        help="JSON file of SolverConfig fields; "
                             "explicit flags override it")
@@ -710,7 +687,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleStartError, InnerLoopError, SubsolverError) as exc:
+    except tuple(_ERROR_STATUSES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, RuntimeError, KeyError, json.JSONDecodeError) as exc:

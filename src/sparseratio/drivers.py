@@ -31,7 +31,6 @@ import numpy as np
 
 from .models import (
     ConstraintModel,
-    LeastSquares,
     SensingMatrix,
     _as_vector,
     _full_norm,
@@ -176,6 +175,17 @@ class IterateTrace:
     wall_time: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
 
+    def record(self, x: np.ndarray, omega: float, objective: float,
+               x_norm: float, q: float | None = None):
+        """Append the per-point entries of iterate x (q only for run_mba)."""
+        self.omega.append(omega)
+        self.objective.append(objective)
+        self.x_norm.append(x_norm)
+        if q is not None:
+            self.q_vals.append(q)
+        if self.iterates is not None:
+            self.iterates.append(x.copy())
+
 
 @dataclass
 class RunResult:
@@ -187,8 +197,9 @@ class RunResult:
     trace: IterateTrace | None
 
 
-def _ratio(x: np.ndarray) -> float:
-    return float(np.abs(x).sum() / np.linalg.norm(x))
+def _ratio(x: np.ndarray, nx: float) -> float:
+    """||x||_1 / ||x|| with the norm nx = ||x|| already computed."""
+    return float(np.abs(x).sum() / nx)
 
 
 def bb_init_step(d_x, d_g, l_prev: float, l_min: float, l_max: float) -> float:
@@ -211,30 +222,15 @@ def bb_init_step(d_x, d_g, l_prev: float, l_min: float, l_max: float) -> float:
     return max(l_min, min(l_prev / 2.0, l_max))
 
 
-def feasible_start(model: ConstraintModel, hint=None,
+def feasible_start(model: ConstraintModel,
                    feas_tol: float = 1e-10) -> np.ndarray:
-    """A feasible starting point for the given model.
+    """The least-norm solution of Ax = b, verified to satisfy q <= feas_tol.
 
-    Without a hint this is the least-norm solution of Ax = b, whose residual
-    is zero and therefore feasible for every constraint family here. A
-    feasible hint is returned unchanged. An infeasible hint on a
-    least-squares model is pulled radially toward the least-norm point just
-    far enough to sit on the constraint boundary; for the other families the
-    hint is discarded in favor of the least-norm point. The returned point
-    is always verified.
+    Its residual is zero up to round-off, so it lies inside the feasible set
+    of every constraint family here; InfeasibleStartError is raised if the
+    computed point still has q > feas_tol.
     """
-    x_ln = least_norm_solution(model.A, model.b)
-    if hint is None:
-        x = x_ln
-    else:
-        hint = _as_vector(hint, model.A.n, "hint")
-        if is_feasible(model, hint, feas_tol):
-            x = hint
-        elif isinstance(model, LeastSquares):
-            resid = float(np.linalg.norm(model.A.entries @ hint - model.b))
-            x = x_ln + model.sigma * (hint - x_ln) / resid
-        else:
-            x = x_ln
+    x = least_norm_solution(model.A, model.b)
     if not is_feasible(model, x, feas_tol):
         raise InfeasibleStartError(
             f"could not construct a feasible start: q = {q_value(model, x):.3e} "
@@ -270,20 +266,17 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
         raise InfeasibleStartError("x0 does not satisfy Ax = b to 1e-8")
 
     alpha = cfg.alpha
-    omega = _ratio(x)
+    nx = float(np.linalg.norm(x))
+    omega = _ratio(x, nx)
     trace = _new_trace(cfg)
     if trace is not None:
-        trace.omega.append(omega)
-        trace.objective.append(omega)
-        trace.x_norm.append(float(np.linalg.norm(x)))
-        if trace.iterates is not None:
-            trace.iterates.append(x.copy())
+        trace.record(x, omega, omega, nx)
 
     status = STATUS_MAX_ITERS
     iterations = 0
     for t in range(cfg.max_outer_iters):
         t_start = time.perf_counter()
-        c = (1.0 + omega / (alpha * float(np.linalg.norm(x)))) * x
+        c = (1.0 + omega / (alpha * nx)) * x
         try:
             x_new = prox_l1_affine(c, A, b, alpha, cfg.sub_tol, cfg.sub_max_iter)
         except SubsolverError:
@@ -292,17 +285,14 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
             break
         step = float(np.linalg.norm(x_new - x))
         x = x_new
-        omega = _ratio(x)
+        nx = float(np.linalg.norm(x))
+        omega = _ratio(x, nx)
         iterations = t + 1
         if trace is not None:
-            trace.omega.append(omega)
-            trace.objective.append(omega)
-            trace.x_norm.append(float(np.linalg.norm(x)))
+            trace.record(x, omega, omega, nx)
             trace.step_norm.append(step)
             trace.wall_time.append(time.perf_counter() - t_start)
-            if trace.iterates is not None:
-                trace.iterates.append(x.copy())
-        if step <= cfg.tol * max(float(np.linalg.norm(x)), 1.0):
+        if step <= cfg.tol * max(nx, 1.0):
             status = STATUS_CONVERGED
             break
 
@@ -348,17 +338,13 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     # whole [l_min, 2*l_max] range
     doubling_cap = math.ceil(math.log2(cfg.l_max * 2.0 / cfg.l_min))
 
-    omega = _ratio(x)
+    nx = float(np.linalg.norm(x))
+    omega = _ratio(x, nx)
     obj_val = omega if ratio_objective else float(np.abs(x).sum())
 
     trace = _new_trace(cfg)
     if trace is not None:
-        trace.omega.append(omega)
-        trace.objective.append(obj_val)
-        trace.x_norm.append(float(np.linalg.norm(x)))
-        trace.q_vals.append(qx)
-        if trace.iterates is not None:
-            trace.iterates.append(x.copy())
+        trace.record(x, omega, obj_val, nx, qx)
 
     x_prev = None
     xi_prev = None
@@ -376,7 +362,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
             l = bb_init_step(x - x_prev, xi - xi_prev, l_prev, cfg.l_min, cfg.l_max)
 
         if ratio_objective:
-            c = (1.0 + omega / (alpha * float(np.linalg.norm(x)))) * x
+            c = (1.0 + omega / (alpha * nx)) * x
         else:
             c = x
 
@@ -416,23 +402,19 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         res = res_new
         qx = q_new
         step = float(np.linalg.norm(x - x_prev))
-        omega = _ratio(x)
+        nx = float(np.linalg.norm(x))
+        omega = _ratio(x, nx)
         obj_val = omega if ratio_objective else float(np.abs(x).sum())
         iterations = t + 1
 
         if trace is not None:
-            trace.omega.append(omega)
-            trace.objective.append(obj_val)
-            trace.x_norm.append(float(np.linalg.norm(x)))
+            trace.record(x, omega, obj_val, nx, qx)
             trace.step_norm.append(step)
             trace.l_accepted.append(l)
             trace.inner_doublings.append(doublings)
-            trace.q_vals.append(q_new)
             trace.wall_time.append(time.perf_counter() - t_start)
-            if trace.iterates is not None:
-                trace.iterates.append(x.copy())
 
-        if step <= cfg.tol * max(float(np.linalg.norm(x)), 1.0):
+        if step <= cfg.tol * max(nx, 1.0):
             status = STATUS_CONVERGED
             break
 

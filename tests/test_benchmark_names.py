@@ -1,9 +1,18 @@
-"""The benchmark tracer swaps package attributes by name; they must exist."""
+"""The benchmark reaches into the package by name; those names must exist.
 
+``perfbench/tracer.py`` swaps package attributes, and ``perfbench/run.py``
+and ``perfbench/workloads.py`` call ``cli.run_pipeline`` and read fields of
+its result and of the iterate traces.
+"""
+
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import sparseratio
+from sparseratio.cli import PipelineResult, run_pipeline
+from sparseratio.drivers import IterateTrace
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -17,3 +26,20 @@ def test_tracer_swaps_resolve_on_package():
     names = [(module, attr) for module, attr, _ in tracer.SWAPS]
     for module, attr in [*names, ("subsolvers", "soft_threshold")]:
         assert hasattr(getattr(sparseratio, module), attr), f"{module}.{attr}"
+
+
+def test_fields_the_benchmark_reads():
+    pipeline_fields = {f.name for f in dataclasses.fields(PipelineResult)}
+    assert {"x_final", "status", "iterations", "warm_iterations",
+            "criticality_residual", "t_warm", "t_main", "warm_trace",
+            "main_trace"} <= pipeline_fields
+    trace_fields = {f.name for f in dataclasses.fields(IterateTrace)}
+    assert {"omega", "objective", "x_norm", "step_norm", "q_vals",
+            "inner_doublings", "wall_time"} <= trace_fields
+
+
+def test_run_pipeline_positional_signature():
+    # run.py calls run_pipeline(inst.model, workload.pipeline, cfg, warm_tol)
+    params = list(inspect.signature(run_pipeline).parameters.values())
+    assert [p.name for p in params] == ["model", "pipeline", "cfg", "warm_tol"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)

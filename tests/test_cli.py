@@ -1,15 +1,18 @@
 """End-to-end coverage of the gen/solve/bench/check subcommands."""
 
 import csv
+import dataclasses
 import json
 import math
 import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sparseratio.cli import main
+from sparseratio.cli import BenchPlan, main, run_bench_plan, run_pipeline
+from sparseratio.drivers import SolverConfig
 from sparseratio.instances import (
     GenSpec,
     generate,
@@ -126,6 +129,22 @@ class TestSolve:
         assert "t_warm=" in stdout and "t_main=" in stdout
         assert "warm stage:" in stdout
 
+    def test_every_solver_flag_reaches_run_config(self, cauchy_instance,
+                                                  tmp_path):
+        values = {"alpha": 0.75, "l_min": 1e-7, "l_max": 1e7, "tol": 1e-5,
+                  "max_outer_iters": 300, "sub_tol": 1e-11,
+                  "sub_max_iter": 400, "feas_tol": 1e-11}
+        assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)
+                               if f.type != "bool"}
+        flags = [arg for name, value in values.items()
+                 for arg in (f"--{name.replace('_', '-')}", str(value))]
+        out = tmp_path / "result.json"
+        rc = main(["solve", "--instance", str(cauchy_instance), *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        run_config = load_result(out)["run_config"]
+        assert {name: run_config[name] for name in values} == values
+
     def test_missing_instance_file(self, tmp_path, capsys):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
         assert rc == 1
@@ -181,6 +200,33 @@ class TestBench:
         rows1, _ = self.run_inline(tmp_path, "e")
         rows2, _ = self.run_inline(tmp_path, "f", extra=("--jobs", "2"))
         assert [r[5] for r in rows1[1:]] == [r[5] for r in rows2[1:]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_rows_in_plan_order(self, jobs):
+        plan = BenchPlan(family="cauchy",
+                         cells=[{"n": 48, "m": 16, "k": 3},
+                                {"n": 40, "m": 16, "k": 3}],
+                         seeds=[2, 0, 1], pipeline="mba_ratio",
+                         config=SolverConfig())
+        seen = []
+        report = run_bench_plan(plan, jobs=jobs, progress=seen.append)
+        assert seen == report.rows
+        assert [(row["n"], row["seed"]) for row in seen] == [
+            (n, seed) for n in (48, 40) for seed in (2, 0, 1)]
+
+    def test_cell_without_a_successful_run(self, tmp_path):
+        # one affine-prox Newton step cannot certify, so every run fails
+        agg = tmp_path / "agg.csv"
+        rc = main(["bench", "--family", "cauchy", "--n", "32", "--m", "12",
+                   "--k", "3", "--seeds", "0:2", "--pipeline", "algorithm1",
+                   "--sub-max-iter", "1", "--quiet", "--out-agg", str(agg)])
+        assert rc == 1
+        head, vals = read_rows(agg)
+        at = dict(zip(head, vals))
+        assert at["n_ok"] == "0" and at["failures"] == "2"
+        stats = head[head.index("failures") + 1:]
+        assert len(stats) == 8
+        assert all(at[name] == "nan" for name in stats)
 
     def test_plan_file_two_stage(self, tmp_path):
         plan = {
@@ -243,6 +289,17 @@ class TestBench:
                    "--quiet"])
         assert rc == 1
         assert "--m" in capsys.readouterr().err
+
+
+class TestRunPipeline:
+    def test_two_stage_ratio_stage_starts_at_warm_iterate(self):
+        inst = generate(GenSpec(family="cauchy", n=64, m=24, k=3, seed=2))
+        pres = run_pipeline(inst.model, "two_stage",
+                            SolverConfig(record_iterates=True), 1e-4)
+        assert pres.warm_iterations > 0
+        start = pres.main_trace.iterates[0]
+        assert start.tobytes() == pres.warm_x.tobytes()
+        assert np.array_equal(pres.warm_trace.iterates[-1], pres.warm_x)
 
 
 class TestCheck:

@@ -93,21 +93,6 @@ class TestBBInitStep:
 
 
 class TestFeasibleStart:
-    def test_feasible_hint_returned_unchanged(self):
-        model = disk_model()
-        hint = np.array([1.1, 0.2])  # residual norm ~0.22 < sigma
-        out = feasible_start(model, hint)
-        np.testing.assert_array_equal(out, hint)
-
-    def test_infeasible_hint_blended_to_boundary(self):
-        model = disk_model()
-        hint = np.array([2.0, 0.0])  # residual norm 1.0 = 2 sigma
-        out = feasible_start(model, hint)
-        x_ln = least_norm_solution(model.A, model.b)
-        expected = x_ln + model.sigma * (hint - x_ln) / 1.0
-        np.testing.assert_allclose(out, expected, rtol=1e-14)
-        assert abs(q_value(model, out)) <= 1e-12
-
     def test_no_hint_least_norm_is_feasible(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((6, 20))
@@ -117,17 +102,8 @@ class TestFeasibleStart:
             Lorentzian(A, b, sigma=0.4, gamma=0.02),
             RobustCS(A, b, sigma=0.4, r=2),
         ):
-            x = feasible_start(model, None)
+            x = feasible_start(model)
             assert q_value(model, x) <= 0.0
-
-    def test_non_ls_infeasible_hint_falls_back_to_least_norm(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((5, 12))
-        b = rng.standard_normal(5) + 2.0
-        model = RobustCS(A, b, sigma=0.4, r=1)
-        bad_hint = rng.standard_normal(12) * 50.0
-        out = feasible_start(model, bad_hint)
-        np.testing.assert_allclose(out, least_norm_solution(model.A, model.b))
 
 
 class TestRunAlgorithm1:
@@ -261,7 +237,7 @@ class TestRunMBA:
     @pytest.mark.parametrize("objective", [OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1])
     def test_trace_invariants_on_desk_instance(self, objective):
         inst = desk_cauchy()
-        x0 = feasible_start(inst.model, None)
+        x0 = feasible_start(inst.model)
         cfg = SolverConfig(tol=1e-6)
         res = run_mba(inst.model, objective, x0, cfg)
         assert res.status == STATUS_CONVERGED
@@ -288,7 +264,7 @@ class TestRunMBA:
 
     def test_deterministic_rerun(self):
         for inst in (desk_cauchy(), desk_robust()):
-            x0 = feasible_start(inst.model, None)
+            x0 = feasible_start(inst.model)
             r1 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
             r2 = run_mba(inst.model, OBJECTIVE_RATIO, x0, SolverConfig())
             assert np.array_equal(r1.x_final, r2.x_final)
@@ -300,7 +276,7 @@ class TestRunMBA:
         # the driver carries q of each accepted trial forward instead of
         # re-evaluating it; the carried value must be q_value bit for bit
         model = make().model
-        res = run_mba(model, OBJECTIVE_RATIO, feasible_start(model, None),
+        res = run_mba(model, OBJECTIVE_RATIO, feasible_start(model),
                       SolverConfig(record_iterates=True))
         tr = res.trace
         assert res.iterations > 1
@@ -359,15 +335,11 @@ class TestCriticalityResidual:
         warm = run_mba(
             inst.model,
             OBJECTIVE_PLAIN_L1,
-            feasible_start(inst.model, None),
+            feasible_start(inst.model),
             SolverConfig(tol=1e-6),
         )
-        main = run_mba(
-            inst.model,
-            OBJECTIVE_RATIO,
-            feasible_start(inst.model, warm.x_final),
-            SolverConfig(tol=1e-6),
-        )
+        main = run_mba(inst.model, OBJECTIVE_RATIO, warm.x_final,
+                       SolverConfig(tol=1e-6))
         assert main.status == STATUS_CONVERGED
         assert main.criticality_residual is not None
         assert main.criticality_residual <= 1e-4
