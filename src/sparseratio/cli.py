@@ -8,9 +8,13 @@ Subcommands:
 * ``solve --instance F --pipeline P ...`` runs one pipeline on a stored
   instance, prints recovery metrics, optionally writes a result file.
 * ``bench --plan F | inline flags`` runs a (cells x seeds) grid, writes a
-  per-run CSV and a per-cell aggregate CSV.
+  per-run CSV and a per-cell aggregate CSV. ``--plan`` excludes the inline
+  plan flags: ``--family`` and its parameters, ``--seeds``, ``--pipeline``,
+  the solver options, ``--warm-tol`` and ``--config``. A plan is checked
+  whole, every (cell, seed) pair, before its first run.
 * ``check --instance F [--result F]`` re-verifies the invariants of stored
-  artifacts.
+  artifacts; the instance's matrix, b, x_orig and model parameters must
+  regenerate bitwise from its gen_spec.
 
 Pipelines:
 
@@ -76,6 +80,7 @@ from .instances import (
     FIELD_TYPES,
     GenSpec,
     ProblemInstance,
+    _model_params,
     generate,
     load_instance,
     load_result,
@@ -84,7 +89,7 @@ from .instances import (
     save_instance,
     save_result,
 )
-from .models import q_value
+from .models import _as_number, q_value
 from .subsolvers import SubsolverError, least_norm_solution
 
 __all__ = [
@@ -133,11 +138,15 @@ class PipelineResult:
     t_warm: float
     t_main: float
     warm_trace: IterateTrace | None
-    main_trace: IterateTrace | None
+    main_trace: IterateTrace
 
 
 @dataclass
 class BenchPlan:
+    """A (cells x seeds) grid under one pipeline and config, checked whole
+    here: every (cell, seed) pair must make a valid GenSpec, so a malformed
+    plan raises ValueError before its first run."""
+
     family: str
     cells: list[dict]
     seeds: list[int]
@@ -148,6 +157,8 @@ class BenchPlan:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not (isinstance(self.cells, list) and isinstance(self.seeds, list)):
+            raise ValueError("plan cells and seeds must be lists")
         if not self.cells:
             raise ValueError("plan needs at least one cell")
         if not self.seeds:
@@ -156,10 +167,16 @@ class BenchPlan:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         wanted = set(FAMILY_PARAMS[self.family])
         for cell in self.cells:
-            if set(cell) != wanted:
+            if not isinstance(cell, dict) or set(cell) != wanted:
                 raise ValueError(
                     f"cell {cell!r} must have exactly the keys {sorted(wanted)}"
                 )
+            for seed in self.seeds:
+                GenSpec(family=self.family, seed=seed, **cell)
+        if self.warm_tol is not None:
+            self.warm_tol = _as_number(self.warm_tol, False, "warm_tol")
+            if not self.warm_tol > 0:
+                raise ValueError("warm_tol must be positive")
 
 
 @dataclass
@@ -327,6 +344,12 @@ def write_aggregate_csv(report: BenchReport, path):
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
+def _json_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    return doc
+
+
 def _config_from_dict(doc: dict) -> SolverConfig:
     unknown = set(doc) - _CONFIG_FIELDS
     if unknown:
@@ -335,7 +358,8 @@ def _config_from_dict(doc: dict) -> SolverConfig:
 
 
 def load_plan(path) -> BenchPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _json_object(json.loads(Path(path).read_text(encoding="utf-8")),
+                       "plan")
     unknown = set(doc) - {"family", "cells", "seeds", "pipeline", "config",
                           "warm_tol"}
     if unknown:
@@ -343,14 +367,11 @@ def load_plan(path) -> BenchPlan:
     for key in ("family", "cells", "seeds", "pipeline"):
         if key not in doc:
             raise ValueError(f"plan is missing the {key!r} field")
-    seeds = doc["seeds"]
-    # bool is an int subclass, and JSON numbers like 7.0 parse as float
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-        raise ValueError(f"plan seeds must be a list of integers, got {seeds!r}")
     return BenchPlan(
-        family=doc["family"], cells=list(doc["cells"]),
-        seeds=seeds, pipeline=doc["pipeline"],
-        config=_config_from_dict(doc.get("config", {})),
+        family=doc["family"], cells=doc["cells"],
+        seeds=doc["seeds"], pipeline=doc["pipeline"],
+        config=_config_from_dict(_json_object(doc.get("config", {}),
+                                              "plan config")),
         warm_tol=doc.get("warm_tol"))
 
 
@@ -374,12 +395,20 @@ _SOLVER_FLAG_HELP = {
     "tol": "outer relative-step tolerance",
     "alpha": "proximal weight of the l1 subproblem",
 }
+# every family parameter is a bench flag of the same name
+_BENCH_PARAMS = tuple(dict.fromkeys(p for ps in FAMILY_PARAMS.values()
+                                    for p in ps))
+# the bench flags that make an inline plan (all None unless given)
+_INLINE_PLAN_FLAGS = ("family", *_BENCH_PARAMS, "seeds", "pipeline",
+                      *_SOLVER_FLAGS, "warm_tol", "config")
 
 
 def _config_from_args(args) -> SolverConfig:
     base = {}
     if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        base = _json_object(
+            json.loads(Path(args.config).read_text(encoding="utf-8")),
+            "--config")
     for name in _SOLVER_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
@@ -469,6 +498,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.plan:
+        given = [name for name in _INLINE_PLAN_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError("--plan excludes " + ", ".join(
+                f"--{name.replace('_', '-')}" for name in given))
         plan = load_plan(args.plan)
     else:
         if args.family is None:
@@ -482,7 +516,8 @@ def _cmd_bench(args) -> int:
                     f"family {args.family} needs --{param} (or use --plan)")
             cell[param] = value
         plan = BenchPlan(
-            family=family, cells=[cell], seeds=_parse_seeds(args.seeds),
+            family=family, cells=[cell],
+            seeds=_parse_seeds("0:20" if args.seeds is None else args.seeds),
             pipeline=args.pipeline or PIPELINE_MBA_RATIO,
             config=_config_from_args(args), warm_tol=args.warm_tol)
 
@@ -535,10 +570,12 @@ def _cmd_check(args) -> int:
         all_ok &= _check_line("unit matrix columns", dev <= 1e-12,
                               f"max deviation {dev:.3e}")
 
+    # the model's variant, sigma and own fields are what solve reads
     regen = generate(spec)
     same = (np.array_equal(regen.model.A.entries, model.A.entries)
             and np.array_equal(regen.model.b, model.b)
-            and np.array_equal(regen.x_orig, inst.x_orig))
+            and np.array_equal(regen.x_orig, inst.x_orig)
+            and _model_params(regen.model) == _model_params(model))
     all_ok &= _check_line("regenerates bitwise from gen_spec", same)
 
     if args.result:
@@ -653,14 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a (cells x seeds) grid")
-    bench.add_argument("--plan", default=None, help="JSON plan file")
+    bench.add_argument("--plan", default=None,
+                       help="JSON plan file (excludes the inline plan flags)")
     bench.add_argument("--family",
                        choices=[f.replace("_", "-") for f in FAMILIES],
                        default=None)
-    for name in dict.fromkeys(p for ps in FAMILY_PARAMS.values() for p in ps):
+    for name in _BENCH_PARAMS:
         bench.add_argument(f"--{name}", type=FIELD_TYPES[name], default=None)
-    bench.add_argument("--seeds", default="0:20",
-                       help="'0:20' half-open range or '3,5,9' list")
+    bench.add_argument("--seeds", default=None,
+                       help="'0:20' half-open range or '3,5,9' list "
+                            "(inline plans only; default 0:20)")
     bench.add_argument("--pipeline", choices=PIPELINES, default=None)
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1, reproducible "

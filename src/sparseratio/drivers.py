@@ -23,7 +23,6 @@ over lambda in closed form (no cap on lambda, no interior/boundary branch).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -32,6 +31,7 @@ import numpy as np
 from .models import (
     ConstraintModel,
     SensingMatrix,
+    _as_number,
     _as_vector,
     _full_norm,
     _grad_p1_of_residual,
@@ -108,6 +108,11 @@ class SolverConfig:
     500 leaves twice that and still ends a prox that cannot certify within
     about a second at 180x640 (about 15 s at 720x2560), so a stall surfaces
     as a status, not a hang.
+
+    Every run returns an IterateTrace; record_iterates also keeps a copy of
+    each iterate in it. Each field is checked here for its type (the numeric
+    ones by models._as_number) and its range, so a malformed setting raises
+    ValueError before any run starts.
     """
 
     alpha: float = 1.0
@@ -118,24 +123,15 @@ class SolverConfig:
     sub_tol: float = 1e-12
     sub_max_iter: int = 500
     feas_tol: float = 1e-10
-    record_trace: bool = True
     record_iterates: bool = False
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "bool":
-                if not isinstance(value, bool):
-                    raise ValueError(f"{f.name} must be true or false, got {value!r}")
-                continue
-            integral = f.type == "int"
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral if integral
-                                      else numbers.Real)
-                    or not (integral or math.isfinite(value))):
-                wanted = "an integer" if integral else "a finite real number"
-                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
-            setattr(self, f.name, int(value) if integral else float(value))
+            if f.type != "bool":
+                setattr(self, f.name, _as_number(value, f.type == "int", f.name))
+            elif not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (0 < self.l_min < self.l_max):
@@ -194,7 +190,7 @@ class RunResult:
     iterations: int
     final_objective: float
     criticality_residual: float | None
-    trace: IterateTrace | None
+    trace: IterateTrace
 
 
 def _ratio(x: np.ndarray, nx: float) -> float:
@@ -239,15 +235,6 @@ def feasible_start(model: ConstraintModel,
     return x
 
 
-def _new_trace(cfg: SolverConfig) -> IterateTrace | None:
-    if not cfg.record_trace:
-        return None
-    tr = IterateTrace()
-    if cfg.record_iterates:
-        tr.iterates = []
-    return tr
-
-
 def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     """Ratio minimization over the affine set {x : Ax = b}, b != 0.
 
@@ -268,9 +255,8 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     alpha = cfg.alpha
     nx = float(np.linalg.norm(x))
     omega = _ratio(x, nx)
-    trace = _new_trace(cfg)
-    if trace is not None:
-        trace.record(x, omega, omega, nx)
+    trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
+    trace.record(x, omega, omega, nx)
 
     status = STATUS_MAX_ITERS
     iterations = 0
@@ -281,17 +267,15 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
             x_new = prox_l1_affine(c, A, b, alpha, cfg.sub_tol, cfg.sub_max_iter)
         except SubsolverError:
             status = STATUS_SUBSOLVER_FAILURE
-            iterations = t
             break
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         nx = float(np.linalg.norm(x))
         omega = _ratio(x, nx)
         iterations = t + 1
-        if trace is not None:
-            trace.record(x, omega, omega, nx)
-            trace.step_norm.append(step)
-            trace.wall_time.append(time.perf_counter() - t_start)
+        trace.record(x, omega, omega, nx)
+        trace.step_norm.append(step)
+        trace.wall_time.append(time.perf_counter() - t_start)
         if step <= cfg.tol * max(nx, 1.0):
             status = STATUS_CONVERGED
             break
@@ -342,24 +326,20 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     omega = _ratio(x, nx)
     obj_val = omega if ratio_objective else float(np.abs(x).sum())
 
-    trace = _new_trace(cfg)
-    if trace is not None:
-        trace.record(x, omega, obj_val, nx, qx)
+    trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
+    trace.record(x, omega, obj_val, nx, qx)
 
     x_prev = None
     xi_prev = None
-    l_prev = 1.0
     status = STATUS_MAX_ITERS
     iterations = 0
 
     for t in range(cfg.max_outer_iters):
         t_start = time.perf_counter()
         xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
-
-        if t == 0:
-            l = 1.0
-        else:
-            l = bb_init_step(x - x_prev, xi - xi_prev, l_prev, cfg.l_min, cfg.l_max)
+        # the previous accepted curvature seeds the Barzilai-Borwein fallback
+        l = 1.0 if x_prev is None else bb_init_step(
+            x - x_prev, xi - xi_prev, l, cfg.l_min, cfg.l_max)
 
         if ratio_objective:
             c = (1.0 + omega / (alpha * nx)) * x
@@ -368,36 +348,32 @@ def run_mba(model: ConstraintModel, objective: str, x0,
 
         xi_sq = float(xi @ xi)
         doublings = 0
-        while True:
-            s = x - xi / l
-            # q(x) can sit in (0, feas_tol], pushing the exact radius a hair
-            # below zero; the ball is then the single point s
-            R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
-            try:
+        try:
+            while True:
+                s = x - xi / l
+                # q(x) can sit in (0, feas_tol], pushing the exact radius a
+                # hair below zero; the ball is then the single point s
+                R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
                 sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=alpha),
                                    cfg.sub_tol)
-            except SubsolverError:
-                status = STATUS_SUBSOLVER_FAILURE
-                break
-            res_new = A @ sol.x - model.b
-            q_new = _q_of_residual(model, res_new)
-            if q_new <= cfg.feas_tol:
-                break
-            l *= 2.0
-            doublings += 1
-            if doublings > doubling_cap:
-                raise InnerLoopError(
-                    f"feasibility not restored after {doublings} curvature "
-                    f"doublings (q = {q_new:.3e}); the model's gradient and "
-                    "value are likely inconsistent"
-                )
-        if status == STATUS_SUBSOLVER_FAILURE:
-            iterations = t
+                res_new = A @ sol.x - model.b
+                q_new = _q_of_residual(model, res_new)
+                if q_new <= cfg.feas_tol:
+                    break
+                l *= 2.0
+                doublings += 1
+                if doublings > doubling_cap:
+                    raise InnerLoopError(
+                        f"feasibility not restored after {doublings} curvature "
+                        f"doublings (q = {q_new:.3e}); the model's gradient "
+                        "and value are likely inconsistent"
+                    )
+        except SubsolverError:
+            status = STATUS_SUBSOLVER_FAILURE
             break
 
         x_prev = x
         xi_prev = xi
-        l_prev = l
         x = sol.x
         res = res_new
         qx = q_new
@@ -407,12 +383,11 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         obj_val = omega if ratio_objective else float(np.abs(x).sum())
         iterations = t + 1
 
-        if trace is not None:
-            trace.record(x, omega, obj_val, nx, qx)
-            trace.step_norm.append(step)
-            trace.l_accepted.append(l)
-            trace.inner_doublings.append(doublings)
-            trace.wall_time.append(time.perf_counter() - t_start)
+        trace.record(x, omega, obj_val, nx, qx)
+        trace.step_norm.append(step)
+        trace.l_accepted.append(l)
+        trace.inner_doublings.append(doublings)
+        trace.wall_time.append(time.perf_counter() - t_start)
 
         if step <= cfg.tol * max(nx, 1.0):
             status = STATUS_CONVERGED

@@ -20,8 +20,6 @@ from the single 64-bit seed. Instances regenerate bit-for-bit from
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +31,7 @@ from .models import (
     Lorentzian,
     RobustCS,
     SensingMatrix,
+    _as_number,
     _as_vector,
     lorentzian_norm,
     q_value,
@@ -90,10 +89,12 @@ class GenSpec:
     """Family name plus every parameter needed to regenerate an instance.
 
     Fields not used by a family stay None. sigma_factor scales the realized
-    noise magnitude into the constraint budget sigma. Every numeric field is
-    checked for its type and sign here, and integral and real values are
-    stored as int and float, so malformed parameters raise ValueError before
-    any instance is drawn.
+    noise magnitude into the constraint budget sigma. r, the robust_cs
+    outlier budget, follows from iota; if given it must be 2 * iota, the
+    value gen_robust_cs records, so no spec names an r that generate
+    ignores. Every numeric field is checked for its type and sign here, and
+    integral and real values are stored as int and float, so malformed
+    parameters raise ValueError before any instance is drawn.
     """
 
     family: str
@@ -116,17 +117,11 @@ class GenSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            integral = kind is int
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral if integral
-                                      else numbers.Real)
-                    or not (integral or math.isfinite(value))):
-                wanted = "an integer" if integral else "a finite real number"
-                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+            value = _as_number(value, kind is int, name)
             if value < 0 or (value == 0 and name not in _MAY_BE_ZERO):
                 sign = "nonnegative" if name in _MAY_BE_ZERO else "positive"
                 raise ValueError(f"{name} must be {sign}, got {value!r}")
-            object.__setattr__(self, name, kind(value))
+            object.__setattr__(self, name, value)
         missing = [name for name in ("seed", "sigma_factor",
                                      *FAMILY_PARAMS[self.family])
                    if getattr(self, name) is None]
@@ -134,6 +129,10 @@ class GenSpec:
             raise ValueError(f"{self.family} needs {', '.join(missing)}")
         if self.gamma is not None and self.family != FAMILY_CAUCHY:
             raise ValueError("gamma applies only to the cauchy family")
+        if self.r is not None and (self.family != FAMILY_ROBUST_CS
+                                   or self.r != 2 * self.iota):
+            raise ValueError(f"r applies only to robust_cs, as 2 * iota, "
+                             f"got {self.r!r}")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
 

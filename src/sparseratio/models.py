@@ -19,6 +19,8 @@ across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from typing import Union
 
@@ -53,6 +55,19 @@ def _as_vector(v, length: int | None, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def _as_number(value, integral: bool, name: str) -> int | float:
+    """value as an int (integral) or a finite float; bools (an int
+    subclass), strings, floats such as JSON's 7.0 for an integer, and
+    non-finite reals raise ValueError."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integral
+                              else numbers.Real)
+            or not (integral or math.isfinite(value))):
+        wanted = "an integer" if integral else "a finite real number"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def _full_norm(v) -> float:

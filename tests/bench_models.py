@@ -51,7 +51,7 @@ def test_run_mba_one_outer_step(benchmark, robust_mid_run):
     # plain_l1 skips the ratio run's closing criticality check, so the
     # time is the step itself: hooks, ball prox, trial products, doublings
     model, x = robust_mid_run
-    cfg = SolverConfig(max_outer_iters=1, record_trace=False, **CFG)
+    cfg = SolverConfig(max_outer_iters=1, **CFG)
     out = benchmark(run_mba, model, OBJECTIVE_PLAIN_L1, x, cfg)
     assert out.iterations == 1
 

@@ -269,7 +269,7 @@ def test_criterion_7_linear_convergence_tail():
 
     matrix = SensingMatrix(A)
     x0 = least_norm_solution(matrix, b)
-    cfg = SolverConfig(tol=1e-12, record_trace=True, record_iterates=True)
+    cfg = SolverConfig(tol=1e-12, record_iterates=True)
     res = run_algorithm1(matrix, b, x0, cfg)
 
     dists = np.array([float(np.linalg.norm(it - res.x_final))

@@ -1,28 +1,39 @@
 """The benchmark reaches into the package by name; those names must exist.
 
 ``perfbench/tracer.py`` swaps package attributes, and ``perfbench/run.py``
-and ``perfbench/workloads.py`` call ``cli.run_pipeline`` and read fields of
-its result and of the iterate traces.
+and ``perfbench/workloads.py`` call ``cli.run_pipeline``, read fields of its
+result and of the iterate traces, catch the typed run errors, and build each
+workload's SolverConfig and GenSpec from its settings.
 """
 
 import dataclasses
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import sparseratio
 from sparseratio.cli import PipelineResult, run_pipeline
-from sparseratio.drivers import IterateTrace
+from sparseratio.drivers import IterateTrace, SolverConfig
+from sparseratio.instances import GenSpec
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    # load the module by path: perfbench is not a package, and its run.py
+    # sets environment variables on import
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is processed
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_swaps_resolve_on_package():
-    # load the module by path: perfbench is not a package, and its run.py
-    # sets environment variables on import
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     names = [(module, attr) for module, attr, _ in tracer.SWAPS]
     for module, attr in [*names, ("subsolvers", "soft_threshold")]:
         assert hasattr(getattr(sparseratio, module), attr), f"{module}.{attr}"
@@ -43,3 +54,26 @@ def test_run_pipeline_positional_signature():
     params = list(inspect.signature(run_pipeline).parameters.values())
     assert [p.name for p in params] == ["model", "pipeline", "cfg", "warm_tol"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def test_names_the_benchmark_calls_without_swapping():
+    # run.py's except tuple evaluates all three whenever a run raises
+    for module, attr in [("drivers", "InfeasibleStartError"),
+                         ("drivers", "InnerLoopError"),
+                         ("subsolvers", "SubsolverError")]:
+        assert issubclass(getattr(getattr(sparseratio, module), attr),
+                          Exception), f"{module}.{attr}"
+    for module, attr in [("drivers", "SolverConfig"), ("instances", "GenSpec"),
+                         ("instances", "generate"), ("instances", "rec_err"),
+                         ("models", "LeastSquares"), ("models", "q_value")]:
+        assert callable(getattr(getattr(sparseratio, module), attr)), \
+            f"{module}.{attr}"
+
+
+def test_every_workload_builds_its_settings():
+    workloads = load_perfbench("workloads")
+    assert workloads.WORKLOADS
+    for w in workloads.WORKLOADS.values():
+        SolverConfig(**w.config)
+        if w.spec["family"] != workloads.NOISELESS:
+            GenSpec(seed=0, **w.spec)

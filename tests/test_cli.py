@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from sparseratio import cli
 from sparseratio.cli import BenchPlan, main, run_bench_plan, run_pipeline
 from sparseratio.drivers import SolverConfig
 from sparseratio.instances import (
@@ -25,6 +26,15 @@ from sparseratio.instances import (
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_plan(tmp_path, **fields):
+    """A valid one-cell cauchy plan file with fields replaced."""
+    plan = {"family": "cauchy", "cells": [{"n": 64, "m": 24, "k": 3}],
+            "seeds": [0], "pipeline": "mba_ratio", **fields}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return str(path)
 
 
 @pytest.fixture
@@ -273,22 +283,131 @@ class TestBench:
         {"config": {"alpha": True}},
         {"config": {"max_outer_iters": 1.5}},
         {"config": {"sub_max_iter": 0}},
+        {"config": 5},
+        {"config": [1]},
+        {"config": {"record_trace": True}},
     ])
     def test_malformed_plan_cell_fails(self, bad, tmp_path, capsys):
         # bad replaces whole fields of an otherwise valid plan
-        plan = {"family": "cauchy", "cells": [{"n": 64, "m": 24, "k": 3}],
-                "seeds": [0], "pipeline": "mba_ratio", **bad}
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(plan))
-        rc = main(["bench", "--plan", str(plan_path), "--quiet"])
+        rc = main(["bench", "--plan", write_plan(tmp_path, **bad), "--quiet"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [5, [1], "plan", None])
+    def test_plan_and_config_files_must_hold_objects(self, doc, tmp_path,
+                                                     cauchy_instance, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bench", "--plan", str(path)]) == 1
+        assert "plan must be a JSON object" in capsys.readouterr().err
+        assert main(["solve", "--instance", str(cauchy_instance),
+                     "--config", str(path)]) == 1
+        assert "--config must be a JSON object" in capsys.readouterr().err
 
     def test_inline_needs_all_family_params(self, capsys):
         rc = main(["bench", "--family", "cauchy", "--n", "64", "--k", "3",
                    "--quiet"])
         assert rc == 1
         assert "--m" in capsys.readouterr().err
+
+    def test_inline_seeds_default_to_0_20(self, monkeypatch):
+        plans = []
+
+        def capture(plan, **kwargs):
+            plans.append(plan)
+            raise RuntimeError("stop before running")
+
+        monkeypatch.setattr(cli, "run_bench_plan", capture)
+        rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
+                   "--k", "3", "--quiet"])
+        assert rc == 1
+        assert plans[0].seeds == list(range(20))
+
+    def test_plan_with_malformed_second_cell_runs_nothing(self, tmp_path,
+                                                          capsys):
+        plan_path = write_plan(tmp_path, seeds=[0, 1], cells=[
+            {"n": 64, "m": 24, "k": 3}, {"n": "64", "m": 24, "k": 3}])
+        rows_path = tmp_path / "rows.csv"
+        rc = main(["bench", "--plan", plan_path, "--out-rows", str(rows_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "n must be an integer" in captured.err
+        assert "seed" not in captured.out
+        assert not rows_path.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "robust-cs"],
+        ["--n", "64"],
+        ["--F", "5.0"],
+        ["--seeds", "0:3"],
+        ["--pipeline", "two_stage"],
+        ["--tol", "1e-2"],
+        ["--sub-max-iter", "3"],
+        ["--warm-tol", "1e-3"],
+        ["--config", "cfg.json"],
+    ])
+    def test_plan_rejects_inline_plan_flags(self, flags, tmp_path, capsys):
+        rc = main(["bench", "--plan", write_plan(tmp_path), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: --plan excludes {flags[0]}")
+        assert captured.out == ""
+
+    def test_plan_keeps_jobs_quiet_and_outputs(self, tmp_path, capsys):
+        plan_path = write_plan(tmp_path, seeds=[0, 1],
+                               cells=[{"n": 48, "m": 16, "k": 3}])
+        rows, agg = tmp_path / "rows.csv", tmp_path / "agg.csv"
+        rc = main(["bench", "--plan", plan_path, "--jobs", "2",
+                   "--quiet", "--out-rows", str(rows), "--out-agg", str(agg)])
+        assert rc == 0
+        assert "seed" not in capsys.readouterr().out
+        assert len(read_rows(rows)) == 3 and len(read_rows(agg)) == 2
+
+    def test_config_file_with_record_trace_fails(self, cauchy_instance,
+                                                 tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"record_trace": False}))
+        rc = main(["solve", "--instance", str(cauchy_instance),
+                   "--config", str(cfg_path)])
+        assert rc == 1
+        assert ("unknown solver config fields: ['record_trace']"
+                in capsys.readouterr().err)
+
+
+class TestBenchPlan:
+    CELL = {"n": 48, "m": 16, "k": 3}
+
+    def plan(self, **fields):
+        return BenchPlan(**{"family": "cauchy", "cells": [self.CELL],
+                            "seeds": [0], "pipeline": "mba_ratio",
+                            "config": SolverConfig(), **fields})
+
+    @pytest.mark.parametrize("cell", [
+        {"n": "48", "m": 16, "k": 3},
+        {"n": 48, "m": 16, "k": 49},
+        {"n": 48, "m": 16},
+        {"n": 48, "m": 16, "k": 3, "gamma": 0.02},
+        [48, 16, 3],
+    ])
+    def test_malformed_second_cell_raises_at_construction(self, cell):
+        with pytest.raises(ValueError):
+            self.plan(cells=[self.CELL, cell])
+
+    @pytest.mark.parametrize("seeds", [[True], [0.9], 3, [-1], [0, "1"],
+                                       (0, 1), []])
+    def test_malformed_seeds_raise_at_construction(self, seeds):
+        with pytest.raises(ValueError):
+            self.plan(seeds=seeds)
+
+    @pytest.mark.parametrize("warm_tol", ["1e-6", 0.0, math.inf, True])
+    def test_malformed_warm_tol_raises_at_construction(self, warm_tol):
+        with pytest.raises(ValueError, match="warm_tol"):
+            self.plan(pipeline="two_stage", warm_tol=warm_tol)
+
+    def test_valid_plan_keeps_its_fields(self):
+        plan = self.plan(seeds=[np.int64(2), 0], warm_tol=1)
+        assert plan.seeds == [2, 0] and plan.cells == [self.CELL]
+        assert type(plan.warm_tol) is float
 
 
 class TestRunPipeline:
@@ -322,6 +441,30 @@ class TestCheck:
         rc = main(["check", "--instance", str(cauchy_instance)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, factor", [("sigma", 3.0), ("gamma", 2.0)])
+    def test_tampered_model_parameter_fails(self, cauchy_instance, field,
+                                            factor, capsys):
+        # solve reads the stored model, not one regenerated from gen_spec
+        doc = json.loads(cauchy_instance.read_text())
+        doc["model"][field] *= factor
+        cauchy_instance.write_text(json.dumps(doc))
+        rc = main(["check", "--instance", str(cauchy_instance)])
+        assert rc == 1
+        assert "FAIL: regenerates bitwise from gen_spec" in capsys.readouterr().out
+
+    def test_tampered_robust_cs_budget_fails(self, tmp_path, capsys):
+        path = tmp_path / "robust.json"
+        assert main(["gen", "robust-cs", "--n", "64", "--p", "20", "--k", "3",
+                     "--iota", "2", "--seed", "1", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["model"]["r"] == doc["gen_spec"]["r"] == 4
+        doc["model"]["r"] = 5
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["check", "--instance", str(path)])
+        assert rc == 1
+        assert "FAIL: regenerates bitwise from gen_spec" in capsys.readouterr().out
 
 
 

@@ -37,7 +37,11 @@ from sparseratio import (
     run_mba,
 )
 from sparseratio.models import grad_p1, subgrad_p2
-from sparseratio.subsolvers import BallProxSolution, least_norm_solution
+from sparseratio.subsolvers import (
+    BallProxSolution,
+    least_norm_solution,
+    prox_l1_ball,
+)
 
 from oracles import ratio_subdiff_distance_grid
 
@@ -303,6 +307,36 @@ class TestRunMBA:
         res = run_mba(disk_model(), OBJECTIVE_RATIO, [1.0, 0.0], SolverConfig())
         assert res.status == STATUS_SUBSOLVER_FAILURE
         assert res.iterations == 0
+
+    def test_subsolver_failure_after_accepted_steps(self, monkeypatch):
+        # the third ball-prox call fails; the first step took two calls
+        # (one doubling), and it stays in the result
+        model = desk_robust().model
+        x0 = feasible_start(model)
+        calls = []
+
+        def third_call_fails(problem, tol):
+            calls.append(problem)
+            if len(calls) == 3:
+                raise SubsolverError("forced failure")
+            return prox_l1_ball(problem, tol)
+
+        monkeypatch.setattr(drivers_module, "prox_l1_ball", third_call_fails)
+        cfg = SolverConfig(record_iterates=True)
+        res = run_mba(model, OBJECTIVE_RATIO, x0, cfg)
+        monkeypatch.undo()
+        tr = res.trace
+        assert res.status == STATUS_SUBSOLVER_FAILURE
+        assert len(calls) == 3
+        assert res.iterations == len(tr.step_norm) == len(tr.wall_time) == 1
+        assert tr.inner_doublings == [1]
+        assert len(tr.omega) == len(tr.q_vals) == res.iterations + 1
+        assert np.array_equal(res.x_final, tr.iterates[-1])
+        assert res.final_objective == tr.omega[-1]
+        capped = run_mba(model, OBJECTIVE_RATIO, x0,
+                         SolverConfig(max_outer_iters=res.iterations))
+        assert np.array_equal(res.x_final, capped.x_final)
+        assert res.criticality_residual == capped.criticality_residual
 
     def test_unrestorable_feasibility_raises_inner_loop_error(self, monkeypatch):
         # a trial point that never becomes feasible no matter how far the

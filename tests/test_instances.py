@@ -202,6 +202,22 @@ class TestGenerateDispatch:
                        m=4, F=5, D=0)
         assert type(spec.n) is int and type(spec.F) is float
 
+    def test_gen_spec_r_is_twice_iota_on_robust_cs_only(self):
+        base = {"n": 8, "k": 2, "seed": 0}
+        robust = {"family": "robust_cs", "p": 4, "iota": 2, **base}
+        for bad in ({**robust, "r": 7}, {**robust, "r": 2},
+                    {**robust, "iota": 0, "r": 1},
+                    {"family": "cauchy", "m": 4, "r": 0, **base},
+                    {"family": "badly_scaled", "m": 4, "F": 5.0, "D": 1.0,
+                     "r": 4, **base}):
+            with pytest.raises(ValueError, match="r applies only"):
+                GenSpec(**bad)
+        assert GenSpec(**robust, r=np.int64(4)).r == 4
+        assert GenSpec(**{**robust, "iota": 0}, r=0).r == 0
+        assert GenSpec(**robust).r is None
+        inst = gen_robust_cs(n=64, p=20, k=4, iota=3, seed=5)
+        assert inst.gen_spec.r == inst.model.r == 6
+
 
 class TestMetrics:
     def test_rec_err_cases(self):
