@@ -23,14 +23,15 @@ Pipelines:
 * ``algorithm1``: the noiseless equality-constrained solver (ignores the
   instance's noise model; of interest on exact-measurement data).
 * ``two_stage``: plain l1 warm start at ``warm_tol``, then the ratio stage
-  at ``tol`` from the warm iterate.
+  at ``tol`` from the warm iterate. ``warm_tol`` is rejected (ValueError,
+  exit 1) with any other pipeline.
 
 A bench plan file is a JSON document::
 
     {"family": "robust_cs",
      "cells": [{"n": 2560, "p": 720, "k": 80, "iota": 10}],
      "seeds": [0, 1, 2],
-     "pipeline": "mba_ratio",
+     "pipeline": "two_stage",
      "config": {"tol": 1e-6},
      "warm_tol": 1e-6}
 
@@ -122,18 +123,24 @@ _ERROR_STATUSES = {
 }
 
 _ROW_TAIL = ("seed", "rec_err", "residual", "iters", "status",
-             "t_gen", "t_warm", "t_main", "warm_rec_err")
+             "t_gen", "t_warm", "t_main", "warm_rec_err", "warm_status")
 
 
 @dataclass
 class PipelineResult:
-    """Everything a pipeline run produced, traces included."""
+    """Everything a pipeline run produced, traces included.
+
+    ``status`` is the last stage's; ``warm_status`` is the warm stage's own
+    (a warm stage that stops at max_outer_iters still hands its iterate on),
+    None without a warm stage.
+    """
 
     x_final: np.ndarray
     status: str
     iterations: int
     warm_iterations: int
     warm_x: np.ndarray | None
+    warm_status: str | None
     criticality_residual: float | None
     t_warm: float
     t_main: float
@@ -165,6 +172,7 @@ class BenchPlan:
             raise ValueError("plan needs at least one seed")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
+        _check_warm_tol(self.pipeline, self.warm_tol)
         wanted = set(FAMILY_PARAMS[self.family])
         for cell in self.cells:
             if not isinstance(cell, dict) or set(cell) != wanted:
@@ -177,6 +185,12 @@ class BenchPlan:
             self.warm_tol = _as_number(self.warm_tol, False, "warm_tol")
             if not self.warm_tol > 0:
                 raise ValueError("warm_tol must be positive")
+
+
+def _check_warm_tol(pipeline: str, warm_tol):
+    if warm_tol is not None and pipeline != PIPELINE_TWO_STAGE:
+        raise ValueError(f"warm_tol applies only to the {PIPELINE_TWO_STAGE} "
+                         f"pipeline, not {pipeline}")
 
 
 @dataclass
@@ -193,10 +207,13 @@ def run_pipeline(model, pipeline: str, cfg: SolverConfig,
 
     Raises InfeasibleStartError / InnerLoopError / SubsolverError if the
     run cannot produce an iterate at all; a subproblem failure after the
-    first accepted step surfaces as a status instead.
+    first accepted step surfaces as a status instead. ``warm_tol`` is the
+    two_stage warm stage's tolerance (default: cfg.tol); any other
+    pipeline raises ValueError if it is given.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    _check_warm_tol(pipeline, warm_tol)
 
     warm = None
     t_warm = 0.0
@@ -223,6 +240,7 @@ def run_pipeline(model, pipeline: str, cfg: SolverConfig,
         iterations=warm_iterations + res.iterations,
         warm_iterations=warm_iterations,
         warm_x=warm.x_final if warm else None,
+        warm_status=warm.status if warm else None,
         criticality_residual=res.criticality_residual,
         t_warm=t_warm, t_main=t_main,
         warm_trace=warm.trace if warm else None, main_trace=res.trace)
@@ -244,7 +262,7 @@ def _bench_worker(plan: BenchPlan, keep_result: bool, cell: dict,
                       if isinstance(exc, cls))
         row.update(rec_err=math.nan, residual=math.nan, iters=0,
                    status=status, t_warm=math.nan,
-                   t_main=math.nan, warm_rec_err=math.nan)
+                   t_main=math.nan, warm_rec_err=math.nan, warm_status=None)
         return row, None
 
     warm_re = (rec_err(pres.warm_x, inst.x_orig)
@@ -253,7 +271,8 @@ def _bench_worker(plan: BenchPlan, keep_result: bool, cell: dict,
         rec_err=rec_err(pres.x_final, inst.x_orig),
         residual=residual_metric(inst.model, pres.x_final),
         iters=pres.iterations, status=pres.status,
-        t_warm=pres.t_warm, t_main=pres.t_main, warm_rec_err=warm_re)
+        t_warm=pres.t_warm, t_main=pres.t_main, warm_rec_err=warm_re,
+        warm_status=pres.warm_status)
     return row, (pres if keep_result else None)
 
 
@@ -465,7 +484,8 @@ def _cmd_solve(args) -> int:
           + (f" criticality={crit:.6g}" if crit is not None else "")
           + f" t_warm={pres.t_warm:.3f}s t_main={pres.t_main:.3f}s")
     if pres.warm_x is not None:
-        print(f"warm stage: iters={pres.warm_iterations} "
+        print(f"warm stage: status={pres.warm_status} "
+              f"iters={pres.warm_iterations} "
               f"rec_err={rec_err(pres.warm_x, inst.x_orig):.6g} "
               f"t={pres.t_warm:.3f}s")
 
@@ -481,6 +501,7 @@ def _cmd_solve(args) -> int:
         }
         if pres.warm_x is not None:
             metrics["warm_rec_err"] = rec_err(pres.warm_x, inst.x_orig)
+            metrics["warm_status"] = pres.warm_status
         payload = {
             "run_config": {"pipeline": args.pipeline,
                            "warm_tol": args.warm_tol,
@@ -637,8 +658,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
                            default=None, dest=name,
                            help=_SOLVER_FLAG_HELP.get(name))
     group.add_argument("--warm-tol", type=float, default=None, dest="warm_tol",
-                       help="tolerance of the two_stage warm stage "
-                            "(default: same as --tol)")
+                       help="tolerance of the two_stage warm stage, "
+                            "two_stage only (default: same as --tol)")
     group.add_argument("--config", default=None,
                        help="JSON file of SolverConfig fields; "
                             "explicit flags override it")

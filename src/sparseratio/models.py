@@ -14,7 +14,9 @@ where P1 is smooth with Lipschitz gradient and P2 is convex and continuous:
 All constructors require q(0) > 0 (the origin must be infeasible, otherwise
 zero is a trivial sparsest solution) and a full-row-rank sensing matrix.
 All operations are pure functions of immutable inputs and safe to share
-across threads.
+across threads. The one cached value is ``SensingMatrix.q``, formed on
+first use: forming it twice gives the same bits, so a race between threads
+only repeats the work.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import operator
 from typing import Union
 
 import numpy as np
+from scipy.linalg.lapack import dorgqr, dormqr
 
 __all__ = [
     "SensingMatrix",
@@ -81,14 +84,20 @@ def _full_norm(v) -> float:
 
 
 class SensingMatrix:
-    """Dense m-by-n sensing matrix with a cached thin QR of its transpose.
+    """Dense m-by-n sensing matrix with a cached QR factorization of A^T.
 
-    The factorization A^T = Q R (Q: n-by-m with orthonormal columns, R:
-    m-by-m upper triangular) is computed once at construction and backs the
-    least-norm solves and affine projections downstream. Entries are frozen.
+    A^T = Q R is factored once at construction by LAPACK's dgeqrf and kept
+    in its compact form: ``reflectors`` (n-by-m, column-major) holds the
+    Householder vectors below its diagonal and R on and above it, ``tau``
+    their min(m, n) scalar factors, and ``r`` is R itself (m-by-m when
+    m <= n). ``apply_q`` multiplies by Q through the reflectors. The
+    explicit n-by-min(m, n) Q with orthonormal columns is formed only when
+    ``q`` is first read, which only the affine prox does. Entries and
+    factors are frozen.
     """
 
-    __slots__ = ("entries", "m", "n", "q", "r", "_diag_min", "_diag_max")
+    __slots__ = ("entries", "m", "n", "reflectors", "tau", "r", "_q",
+                 "_diag_min", "_diag_max")
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=float)
@@ -99,15 +108,57 @@ class SensingMatrix:
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         self.m, self.n = entries.shape
-        q, r = np.linalg.qr(entries.T)
+        # raw mode returns the transpose of LAPACK's column-major output
+        h, tau = np.linalg.qr(entries.T, mode="raw")
+        reflectors = np.asfortranarray(h.T)
+        r = np.triu(reflectors[:min(self.m, self.n)])
         diag = np.abs(np.diag(r))
         self._diag_min = float(diag.min())
         self._diag_max = float(diag.max())
-        for arr in (entries, q, r):
+        for arr in (entries, reflectors, tau, r):
             arr.flags.writeable = False
         self.entries = entries
-        self.q = q
+        self.reflectors = reflectors
+        self.tau = tau
         self.r = r
+        self._q = None
+
+    @property
+    def q(self) -> np.ndarray:
+        """The explicit Q of A^T = Q R, formed from the reflectors by dorgqr
+        on first use, then cached. dorgqr runs at its optimal (blocked)
+        workspace, the faster path and the one that reproduces
+        np.linalg.qr's Q bit for bit; the minimal workspace differs from it
+        in the last bits."""
+        if self._q is None:
+            a = self.reflectors[:, :self.tau.size]
+            lwork = int(dorgqr(a, self.tau, lwork=-1)[1][0])
+            q, _, info = dorgqr(a, self.tau, lwork=lwork)
+            if info != 0:
+                raise RuntimeError(f"dorgqr failed with info = {info}")
+            # row-major, so the affine prox's row selections stay contiguous
+            q = np.ascontiguousarray(q)
+            q.flags.writeable = False
+            self._q = q
+        return self._q
+
+    def apply_q(self, y) -> np.ndarray:
+        """Q y for a vector y of length min(m, n), by LAPACK's dormqr on the
+        reflectors; the explicit Q is not formed.
+
+        dormqr runs at its optimal (blocked) workspace. The minimal
+        workspace selects its unblocked path, about 3x faster for one
+        vector at 730x2560, but about twice as far from the exact Q y.
+        """
+        c = np.zeros((self.n, 1))
+        c[:self.tau.size, 0] = y
+        lwork = int(dormqr("L", "N", self.reflectors, self.tau, c,
+                           lwork=-1)[1][0])
+        out, _, info = dormqr("L", "N", self.reflectors, self.tau, c,
+                              lwork=lwork, overwrite_c=1)
+        if info != 0:
+            raise RuntimeError(f"dormqr failed with info = {info}")
+        return out[:, 0]
 
     @property
     def has_full_row_rank(self) -> bool:

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_solve, solve_triangular
+from scipy.linalg.lapack import dgetrf
 
 from .models import SensingMatrix, _full_norm
 
@@ -229,8 +230,10 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
 def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     """Minimum-Euclidean-norm solution of Ax = b.
 
-    Uses the cached thin QR of A^T: with A^T = QR, the solution is
-    Q (R^T)^{-1} b. The result is orthogonal to ker A.
+    Uses the cached QR of A^T: with A^T = QR, the solution is
+    Q (R^T)^{-1} b, and Q is applied by its Householder reflectors
+    (SensingMatrix.apply_q), so the explicit Q is never formed. The result
+    is orthogonal to ker A.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -239,8 +242,7 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    y = solve_triangular(A.r, b, trans="T", lower=False)
-    x = A.q @ y
+    x = A.apply_q(solve_triangular(A.r, b, trans="T", lower=False))
     if not np.all(np.isfinite(x)):
         raise SubsolverError("triangular solve produced non-finite values")
     return x
@@ -317,16 +319,22 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
                    tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
     """min P(x) = ||x||_1 + alpha/2 ||x - c||^2  subject to  Ax = b.
 
-    With the cached thin QR A^T = QR, Ax = b reads Q^T x = Q^T x_ln
-    (x_ln the least-norm solution). For a multiplier y of that form the
-    Lagrangian is minimized by x(y) = soft_threshold(v, 1/alpha),
-    v = c + Q y / alpha, and the dual theta(y) = P(x(y)) - y . F(y) is
-    concave and C^1 with gradient -F(y), F(y) = Q^T (x(y) - x_ln), whose
-    norm is the distance of x(y) to the affine set. Each step is semismooth
-    Newton on the dual with a Levenberg-Marquardt ridge ||F||: it solves
-    (Q_J^T Q_J / alpha + ||F|| I) d = -F over the rows J where x(y) is
-    nonzero, then takes the exact maximizing step along d (one sort of the
-    breakpoints, see _dual_step).
+    With A^T = QR and the explicit Q (SensingMatrix.q, formed once per
+    matrix), Ax = b reads Q^T x = Q^T x_ln (x_ln the least-norm solution).
+    For a multiplier y of that form the Lagrangian is minimized by
+    x(y) = soft_threshold(v, 1/alpha), v = c + Q y / alpha, and the dual
+    theta(y) = P(x(y)) - y . F(y) is concave and C^1 with gradient -F(y),
+    F(y) = Q^T (x(y) - x_ln), whose norm is the distance of x(y) to the
+    affine set. Each step is semismooth Newton on the dual with a
+    Levenberg-Marquardt ridge ||F||: it solves
+    (Q_J^T Q_J / alpha + ||F|| I) d = -F over the rows J where
+    |v_i| >= 1/alpha, then takes the exact maximizing step along d (one
+    sort of the breakpoints, see _dual_step). At |v_i| = 1/alpha the soft
+    threshold has a kink, where any slope in [0, 1] is a valid generalized
+    Jacobian; J takes slope 1 there. A row whose v_i rounds exactly onto
+    the threshold, common far below unit scale where c is a few ulps of
+    1/alpha, then stays in the Newton matrix: without it the direction is
+    blind to that row and the iteration can stall until max_iter.
 
     The stop is a certificate built from the same factorization. x_hat is
     x(y) corrected on the rows J by the minimum-norm least-squares solution
@@ -340,11 +348,14 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     gap <= tol * P(x_hat), a bound relative to the problem's own scale;
     SubsolverError is raised if max_iter steps pass first. x(y) carries
     round-off of about eps / alpha in absolute terms, so a problem whose
-    solution lies far below that (b and c below about 1e-15 / alpha)
+    solution lies far below that (b and c below about 1e-16 / alpha)
     cannot certify and ends in SubsolverError. ||F|| is taken as
     max|F_i| ||F / max|F_i|||, which neither underflows nor overflows, so
     the ridge stays positive while F != 0; at F = 0, x(y) is feasible and
-    d = 0.
+    d = 0. A ridge below the round-off of Q_J^T Q_J / alpha can still leave
+    the Newton matrix exactly singular when Q_J has fewer than m rows; that
+    happens only in the same below-round-off regime, and it raises
+    SubsolverError as well.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -369,17 +380,21 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
         v = c + (Q @ y) * tau
         x = soft_threshold(v, tau)
         F = Q.T @ x - qx_ln
-        nonzero = x != 0.0
+        active = np.abs(v) >= tau
         d = np.zeros(A.m)
         x_hat = x.copy()
         nf = _full_norm(F)
         if nf > 0.0:
-            Q_J = Q[nonzero]
+            Q_J = Q[active]
             H = (Q_J.T @ Q_J) * tau
             H[np.diag_indices_from(H)] += nf
-            lu = lu_factor(H)
-            d = lu_solve(lu, -F)
-            x_hat[nonzero] += _piece_correction(lu, Q_J, d, F, nf) * tau
+            lu, piv, info = dgetrf(H, overwrite_a=1)
+            if info > 0:
+                raise SubsolverError(
+                    f"affine prox Newton matrix singular to working precision "
+                    f"(ridge ||F|| = {nf:.3e})")
+            d = lu_solve((lu, piv), -F)
+            x_hat[active] += _piece_correction((lu, piv), Q_J, d, F, nf) * tau
         w = (Q @ d) * tau
         x_hat = x_hat - Q @ (Q.T @ x_hat) + x_ln
         p_hat = _objective(x_hat, c, alpha)

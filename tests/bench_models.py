@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the RobustCS hooks, one moving-balls outer step and
-the criticality check.
+"""Micro-benchmarks of the sensing-matrix factorization, the least-norm
+solve, the RobustCS hooks, one moving-balls outer step and the criticality
+check.
 
 The file name keeps it out of the default ``test_*.py`` collection; run it
 explicitly with pytest-benchmark:
@@ -25,7 +26,12 @@ from sparseratio import (
     generate,
     run_mba,
 )
-from sparseratio.models import _subgrad_p2_of_residual, project_sparse
+from sparseratio.models import (
+    SensingMatrix,
+    _subgrad_p2_of_residual,
+    project_sparse,
+)
+from sparseratio.subsolvers import least_norm_solution
 
 CFG = {"tol": 1e-6, "feas_tol": 1e-13}
 
@@ -37,6 +43,21 @@ def robust_mid_run():
     warm = run_mba(model, OBJECTIVE_RATIO, feasible_start(model),
                    SolverConfig(max_outer_iters=10, **CFG))
     return model, warm.x_final
+
+
+def test_sensing_matrix_factorization(benchmark, robust_mid_run):
+    # dgeqrf alone; the explicit Q is not formed
+    model, _ = robust_mid_run
+    sm = benchmark(SensingMatrix, model.A.entries)
+    assert sm.r.tobytes() == model.A.r.tobytes() and sm._q is None
+
+
+def test_least_norm_solution(benchmark, robust_mid_run):
+    # the triangular solve and the reflectors applied to one vector
+    model, _ = robust_mid_run
+    x = benchmark(least_norm_solution, model.A, model.b)
+    assert np.linalg.norm(model.A.entries @ x - model.b) <= (
+        1e-12 * np.linalg.norm(model.b))
 
 
 def test_subgrad_p2_robust(benchmark, robust_mid_run):

@@ -139,6 +139,32 @@ class TestSolve:
         assert "t_warm=" in stdout and "t_main=" in stdout
         assert "warm stage:" in stdout
 
+    def test_warm_stage_cap_is_reported(self, tmp_path, capsys):
+        # the warm stage stops at max_outer_iters and the ratio stage still
+        # converges from its iterate: the run's status alone hides the cap
+        inst, out = tmp_path / "inst.json", tmp_path / "res.json"
+        main(["gen", "cauchy", "--n", "64", "--m", "24", "--k", "3",
+              "--seed", "0", "--out", str(inst)])
+        capsys.readouterr()
+        rc = main(["solve", "--instance", str(inst), "--pipeline", "two_stage",
+                   "--max-outer-iters", "50", "--warm-tol", "1e-15",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "warm stage: status=max_iters iters=50 " in capsys.readouterr().out
+        doc = load_result(out)
+        assert doc["status"] == "converged"
+        assert doc["metrics"]["warm_status"] == "max_iters"
+
+    def test_warm_tol_outside_two_stage_fails(self, cauchy_instance, tmp_path,
+                                              capsys):
+        out = tmp_path / "res.json"
+        rc = main(["solve", "--instance", str(cauchy_instance), "--pipeline",
+                   "mba_ratio", "--warm-tol", "1e-3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: warm_tol applies only to")
+        assert not out.exists()
+
     def test_every_solver_flag_reaches_run_config(self, cauchy_instance,
                                                   tmp_path):
         values = {"alpha": 0.75, "l_min": 1e-7, "l_max": 1e7, "tol": 1e-5,
@@ -182,10 +208,11 @@ class TestBench:
         rows, _ = self.run_inline(tmp_path, "a")
         assert rows[0] == ["family", "n", "m", "k", "seed", "rec_err",
                            "residual", "iters", "status", "t_gen", "t_warm",
-                           "t_main", "warm_rec_err"]
+                           "t_main", "warm_rec_err", "warm_status"]
         assert len(rows) == 4  # header + |cells| x |seeds|
         assert [r[4] for r in rows[1:]] == ["0", "1", "2"]
         assert all(r[8] == "converged" for r in rows[1:])
+        assert all(r[13] == "" for r in rows[1:])  # no warm stage
 
     def test_aggregates_recompute_from_rows(self, tmp_path):
         rows, agg = self.run_inline(tmp_path, "b")
@@ -261,6 +288,7 @@ class TestBench:
             assert not math.isnan(float(at["warm_rec_err"]))
             assert float(at["t_warm"]) > 0
             assert at["status"] == "converged"
+            assert at["warm_status"] == "converged"
 
     def test_empty_seed_list_fails(self, tmp_path, capsys):
         rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
@@ -353,6 +381,17 @@ class TestBench:
         assert captured.err.startswith(f"error: --plan excludes {flags[0]}")
         assert captured.out == ""
 
+    def test_plan_warm_tol_outside_two_stage_runs_nothing(self, tmp_path,
+                                                          capsys):
+        rows_path = tmp_path / "rows.csv"
+        rc = main(["bench", "--plan", write_plan(tmp_path, warm_tol=1e-3),
+                   "--out-rows", str(rows_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: warm_tol applies only to")
+        assert "seed" not in captured.out
+        assert not rows_path.exists()
+
     def test_plan_keeps_jobs_quiet_and_outputs(self, tmp_path, capsys):
         plan_path = write_plan(tmp_path, seeds=[0, 1],
                                cells=[{"n": 48, "m": 16, "k": 3}])
@@ -404,8 +443,16 @@ class TestBenchPlan:
         with pytest.raises(ValueError, match="warm_tol"):
             self.plan(pipeline="two_stage", warm_tol=warm_tol)
 
+    @pytest.mark.parametrize("pipeline", ["mba_ratio", "mba_l1",
+                                          "algorithm1"])
+    def test_warm_tol_outside_two_stage_raises_at_construction(self,
+                                                               pipeline):
+        with pytest.raises(ValueError, match="only to the two_stage"):
+            self.plan(pipeline=pipeline, warm_tol=1e-3)
+
     def test_valid_plan_keeps_its_fields(self):
-        plan = self.plan(seeds=[np.int64(2), 0], warm_tol=1)
+        plan = self.plan(seeds=[np.int64(2), 0], pipeline="two_stage",
+                         warm_tol=1)
         assert plan.seeds == [2, 0] and plan.cells == [self.CELL]
         assert type(plan.warm_tol) is float
 
@@ -419,6 +466,23 @@ class TestRunPipeline:
         start = pres.main_trace.iterates[0]
         assert start.tobytes() == pres.warm_x.tobytes()
         assert np.array_equal(pres.warm_trace.iterates[-1], pres.warm_x)
+
+    def test_warm_stage_status(self):
+        inst = generate(GenSpec(family="cauchy", n=64, m=24, k=3, seed=0))
+        cfg = SolverConfig(max_outer_iters=50)
+        pres = run_pipeline(inst.model, "two_stage", cfg, 1e-15)
+        assert pres.warm_status == "max_iters"
+        assert pres.warm_iterations == cfg.max_outer_iters
+        assert pres.status == "converged"
+        assert run_pipeline(inst.model, "mba_l1", cfg).warm_status is None
+
+    @pytest.mark.parametrize("pipeline", ["mba_ratio", "mba_l1",
+                                          "algorithm1"])
+    def test_warm_tol_outside_two_stage_raises(self, pipeline):
+        model = generate(GenSpec(family="cauchy", n=64, m=24, k=3,
+                                 seed=0)).model
+        with pytest.raises(ValueError, match="only to the two_stage"):
+            run_pipeline(model, pipeline, SolverConfig(), 1e-3)
 
 
 class TestCheck:

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sparseratio.cli import run_pipeline
+from sparseratio.drivers import SolverConfig
+from sparseratio.instances import GenSpec, generate
 from sparseratio.models import (
     LeastSquares,
     Lorentzian,
@@ -56,6 +59,35 @@ class TestSensingMatrix:
         assert sm.m == 4 and sm.n == 9
         np.testing.assert_allclose(sm.q @ sm.r, A.T, atol=1e-12)
         np.testing.assert_allclose(sm.q.T @ sm.q, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4, 9), (64, 300), (6, 6), (9, 4),
+                                       (1, 1), (1, 7), (7, 1)])
+    def test_factors_match_numpy_qr(self, shape):
+        # m < n, m = n and m > n: R is numpy's bitwise (the same dgeqrf), and
+        # Q, formed from the reflectors, agrees with numpy's explicit Q
+        A = RNG.standard_normal(shape)
+        q_np, r_np = np.linalg.qr(A.T)
+        sm = SensingMatrix(A)
+        assert sm.r.shape == r_np.shape and sm.r.tobytes() == r_np.tobytes()
+        assert sm.q.shape == q_np.shape
+        np.testing.assert_allclose(sm.q, q_np, rtol=0.0, atol=1e-14)
+
+    def test_factors_read_only_and_q_cached(self):
+        sm = SensingMatrix(RNG.standard_normal((3, 7)))
+        assert sm.q is sm.q
+        for arr in (sm.reflectors, sm.tau, sm.r, sm.q):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("pipeline", ["mba_ratio", "two_stage"])
+    def test_moving_balls_pipelines_never_form_q(self, pipeline):
+        # their one use of the factorization is the least-norm start, which
+        # applies the reflectors; only the affine prox reads A.q
+        model = generate(GenSpec(family="cauchy", n=64, m=24, k=3,
+                                 seed=0)).model
+        run_pipeline(model, pipeline, SolverConfig())
+        assert model.A._q is None
+        run_pipeline(model, "algorithm1", SolverConfig(max_outer_iters=1))
+        assert model.A._q is not None
 
     def test_full_row_rank_flag(self):
         assert SensingMatrix(RNG.standard_normal((3, 8))).has_full_row_rank

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from sparseratio.models import SensingMatrix
@@ -328,6 +329,18 @@ class TestExactBallSolve:
         assert_matches_bisection(p, prox_l1_ball(p))
 
 
+@st.composite
+def column_scaled_systems(draw):
+    """(A, b) with 1 <= m <= n <= 40 and A's column scales spread over up to
+    8 decades."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    decades = draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-decades / 2, decades / 2, n)
+    return rng.standard_normal((m, n)) * scales, rng.standard_normal(m)
+
+
 class TestLeastNormSolution:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
@@ -354,6 +367,27 @@ class TestLeastNormSolution:
     def test_rank_deficient_raises(self):
         with pytest.raises(SubsolverError):
             least_norm_solution(SensingMatrix(np.ones((2, 5))), [1.0, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_scaled_systems())
+    def test_matches_pseudoinverse(self, system):
+        A, b = system
+        sm = SensingMatrix(A)
+        if not sm.has_full_row_rank:
+            reject()
+        x = least_norm_solution(sm, b)
+        nx = np.linalg.norm(x)
+        # the reflectors give the explicit Q's Q R^{-T} b up to round-off,
+        # however the columns are scaled, and x lies in range(A^T) = range(Q)
+        y = solve_triangular(sm.r, b, trans="T")
+        assert np.linalg.norm(x - sm.q @ y) <= 1e-12 * nx
+        assert np.linalg.norm(x - sm.q @ (sm.q.T @ x)) <= 1e-12 * nx
+        # no backward-stable solve can match pinv closer than about
+        # cond(A) eps: with columns spread over 8 decades cond(A) reaches
+        # 1e9, and pinv itself then misses the exact solution by about 1e-9
+        x_pinv = np.linalg.pinv(A) @ b
+        bound = max(1e-12, 100.0 * np.finfo(float).eps * np.linalg.cond(A))
+        assert np.linalg.norm(x - x_pinv) <= bound * np.linalg.norm(x_pinv)
 
     def test_wrong_length_b(self):
         with pytest.raises(ValueError):
@@ -458,6 +492,14 @@ class TestProxL1Affine:
                               "dual_feasibility_tolerance": 1e-10})
         x_bp = lp.x[:90] - lp.x[90:]
         assert np.linalg.norm(x / scale - x_bp) <= 1e-9 * np.linalg.norm(x_bp)
+
+    @pytest.mark.parametrize("scale, seed", [(2e-14, 35), (3e-15, 32),
+                                             (1e-15, 6)])
+    def test_rows_on_the_threshold_join_the_newton_set(self, scale, seed):
+        # c is a few ulps of 1/alpha here, so some v_i round exactly onto
+        # the threshold; a Newton matrix without those rows stalls these
+        # solves until max_iter
+        self.test_small_scale_matches_basis_pursuit(scale, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("scale", [1e-150, 1e-250])
