@@ -9,8 +9,10 @@ over a simple set:
 * ``run_mba`` handles the noisy problem min ||x||_1/||x|| (or plain ||x||_1)
   subject to q(x) <= 0 by replacing the constraint with a quadratic majorant
   whose level set is a Euclidean ball (a moving-balls step), with the
-  curvature seeded by a safeguarded Barzilai-Borwein estimate and doubled
-  until the trial point is feasible.
+  curvature seeded by a safeguarded Barzilai-Borwein estimate. A trial
+  point that is not feasible raises the curvature by the power of two that
+  covers the secant curvature it measured, and the ball is rebuilt until a
+  trial is feasible.
 
 Both stop when ||x_t - x_{t-1}|| <= tol * max(||x_t||, 1).
 
@@ -35,6 +37,7 @@ from .models import (
     _as_vector,
     _full_norm,
     _grad_p1_of_residual,
+    _p1_curvature,
     _q_of_residual,
     _subgrad_p2_of_residual,
     grad_p1,
@@ -80,11 +83,13 @@ class InfeasibleStartError(ValueError):
 
 
 class InnerLoopError(RuntimeError):
-    """The feasibility-restoring doubling loop exceeded its certified bound.
+    """The feasibility-restoring curvature loop exceeded its certified bound.
 
-    With a correct gradient this loop terminates once the curvature
-    estimate dominates the true Lipschitz constant, so overflowing the
-    bound almost always points at a model/gradient inconsistency.
+    Each failed trial multiplies the curvature by 2^i, i >= 1, and the loop
+    gives up once the exponents sum past log2(2 l_max / l_min). With a
+    correct gradient it terminates once the curvature estimate dominates
+    the true Lipschitz constant, so overflowing the bound almost always
+    points at a model/gradient inconsistency.
     """
 
 
@@ -159,6 +164,10 @@ class IterateTrace:
     l_accepted, inner_doublings and q_vals stay empty for the affine driver,
     which has no moving-ball machinery. q_vals[t] is q at iterate t (so it
     leads omega by nothing: both start at the initial point).
+    inner_doublings[t] is log2(l_accepted[t] / l_seed), with l_seed the
+    Barzilai-Borwein seed of step t: the summed exponents of its curvature
+    jumps. It is not the number of extra ball-prox calls, since one failed
+    trial can raise l by several doublings.
     """
 
     omega: list[float] = field(default_factory=list)
@@ -300,8 +309,18 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     q(x_t) + <grad P1 - zeta, x - x_t> + l/2 ||x - x_t||^2 <= 0, a ball
     centered at s = x_t - xi/l with squared radius ||xi||^2/l^2 - 2 q(x_t)/l
     (xi = grad P1 - zeta). If the trial point leaves the true feasible set
-    by more than feas_tol, l is doubled and the ball rebuilt. Every accepted
-    iterate satisfies q <= feas_tol.
+    by more than feas_tol, the trial has measured the secant curvature
+    l_s = 2(q(x_trial) - q(x_t) - <xi, d>)/||d||^2, d = x_trial - x_t, at
+    which the majorant is exact along d. l then becomes the smallest l 2^i
+    >= l_s with i >= 1 (i = 1 when l_s / l is not finite or not above 1)
+    and the ball is rebuilt, so the accepted l is the seed times a power of
+    two. P2 is convex, so l_s <= L_P1 (the Lipschitz constant of grad P1)
+    and a trial fails only while l < l_s; an l accepted after a failed trial
+    therefore stays below 2 L_P1, as with plain doubling. That holds in
+    floating point too because l_s is taken no larger than P1's own bound
+    2 c ||A d||^2/||d||^2 (models._p1_curvature), which A d = res_new - res
+    resolves even when the q values differ only by round-off.
+    Every accepted iterate satisfies q <= feas_tol.
     """
     if objective not in (OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1):
         raise ValueError(f"unknown objective {objective!r}")
@@ -318,9 +337,10 @@ def run_mba(model: ConstraintModel, objective: str, x0,
 
     alpha = cfg.alpha
     ratio_objective = objective == OBJECTIVE_RATIO
-    # doublings certified to restore feasibility before l can sweep the
-    # whole [l_min, 2*l_max] range
+    # doublings (summed jump exponents) certified to restore feasibility
+    # before l can sweep the whole [l_min, 2*l_max] range
     doubling_cap = math.ceil(math.log2(cfg.l_max * 2.0 / cfg.l_min))
+    curvature = _p1_curvature(model)
 
     nx = float(np.linalg.norm(x))
     omega = _ratio(x, nx)
@@ -360,14 +380,27 @@ def run_mba(model: ConstraintModel, objective: str, x0,
                 q_new = _q_of_residual(model, res_new)
                 if q_new <= cfg.feas_tol:
                     break
-                l *= 2.0
-                doublings += 1
+                # jump to the smallest l 2^i >= l_s = 2 gap/||d||^2, i >= 1
+                # (see the docstring); gap is capped by P1's bound because
+                # for a tiny d the q values differ only by round-off
+                d = sol.x - x
+                e = res_new - res
+                gap = min(q_new - qx - float(xi @ d), curvature * float(e @ e))
+                denom = l * float(d @ d)
+                growth = 2.0 * gap / denom if denom > 0.0 else math.nan
+                i = 1
+                if 1.0 < growth < math.inf:
+                    # growth = mantissa 2^exponent with mantissa in [1/2, 1)
+                    mantissa, exponent = math.frexp(growth)
+                    i = exponent - 1 if mantissa == 0.5 else exponent
+                doublings += i
                 if doublings > doubling_cap:
                     raise InnerLoopError(
                         f"feasibility not restored after {doublings} curvature "
                         f"doublings (q = {q_new:.3e}); the model's gradient "
                         "and value are likely inconsistent"
                     )
+                l *= 2.0 ** i
         except SubsolverError:
             status = STATUS_SUBSOLVER_FAILURE
             break

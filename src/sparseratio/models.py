@@ -339,6 +339,21 @@ def _subgrad_p2_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarr
     raise TypeError(f"unknown constraint model {type(model).__name__}")
 
 
+def _p1_curvature(model: ConstraintModel) -> float:
+    """The c with P1(x + d) - P1(x) - <grad P1(x), d> <= c ||A d||^2.
+
+    P1 is a sum over residual entries, so the bound is half the largest
+    second derivative of one term: 1 for ||Ax - b||^2 (exact there), and
+    1/gamma^2 for the Lorentzian log-sum, whose terms curve at most
+    2/gamma^2, at zero residual.
+    """
+    if isinstance(model, (LeastSquares, RobustCS)):
+        return 1.0
+    if isinstance(model, Lorentzian):
+        return 1.0 / (model.gamma * model.gamma)
+    raise TypeError(f"unknown constraint model {type(model).__name__}")
+
+
 def q_value(model: ConstraintModel, x) -> float:
     """Constraint value q(x); the point x is feasible iff q(x) <= 0."""
     x = _check_x(model, x)

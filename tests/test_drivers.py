@@ -25,12 +25,15 @@ from sparseratio import (
     SensingMatrix,
     SolverConfig,
     STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
     STATUS_SUBSOLVER_FAILURE,
     SubsolverError,
     bb_init_step,
     criticality_residual,
+    dist_sq_sparse,
     feasible_start,
     generate,
+    lorentzian_norm,
     q_value,
     rec_err,
     run_algorithm1,
@@ -340,12 +343,116 @@ class TestRunMBA:
 
     def test_unrestorable_feasibility_raises_inner_loop_error(self, monkeypatch):
         # a trial point that never becomes feasible no matter how far the
-        # curvature is doubled must surface as a diagnosable error
+        # curvature is doubled must surface as a diagnosable error; on the
+        # disk q is exactly quadratic with secant curvature 2, so from l = 1
+        # every failed trial moves l by one doubling, and the error comes
+        # on the first trial past doubling_cap
         model = disk_model()
         sol = BallProxSolution(x=np.array([9.0, 9.0]), mu=0.0, active=False)
-        monkeypatch.setattr(drivers_module, "prox_l1_ball", lambda p, tol: sol)
+        calls = []
+
+        def never_feasible(problem, tol):
+            calls.append(problem)
+            return sol
+
+        monkeypatch.setattr(drivers_module, "prox_l1_ball", never_feasible)
+        cfg = SolverConfig()
         with pytest.raises(InnerLoopError):
-            run_mba(model, OBJECTIVE_RATIO, [1.0, 0.0], SolverConfig())
+            run_mba(model, OBJECTIVE_RATIO, [1.0, 0.0], cfg)
+        cap = int(np.ceil(np.log2(cfg.l_max * 2.0 / cfg.l_min)))
+        assert len(calls) == cap + 1
+
+
+# A = diag(8, 1), so q(x0 + d) - q(x0) - <xi, d> = ||A d||^2 exactly and the
+# secant curvature of a trial is the Rayleigh quotient 2 ||A d||^2 / ||d||^2,
+# between 2 and 128. At x0 = (1, 0.5), q = -0.75 and xi = (0, 1).
+def stretched_model():
+    return LeastSquares(np.diag([8.0, 1.0]), [8.0, 0.0], sigma=1.0)
+
+
+_X0 = (1.0, 0.5)
+
+
+def one_scripted_step(monkeypatch, trials, cfg=None, model=None, x0=_X0):
+    """Trace of one run_mba step whose ball prox returns each point of
+    ``trials`` in turn, then x0 itself (feasible, so the step ends)."""
+    points = iter([*trials, x0])
+
+    def scripted(problem, tol):
+        return BallProxSolution(x=np.array(next(points), dtype=float),
+                                mu=0.0, active=False)
+
+    monkeypatch.setattr(drivers_module, "prox_l1_ball", scripted)
+    res = run_mba(model or stretched_model(), OBJECTIVE_RATIO, x0,
+                  cfg or SolverConfig(max_outer_iters=1))
+    return res.trace
+
+
+class TestCurvatureJump:
+    # the first step starts from l = 1
+    @pytest.mark.parametrize("trial, l_s, i", [
+        ((2.0, 0.5), 128.0, 7),   # d = (1, 0): l_s a power of two, reached exactly
+        ((2.0, 3.5), 14.6, 4),    # d = (1, 3): rounded up to 16
+        ((1.5, 0.5), 128.0, 7),   # d = (1/2, 0): same direction, same l_s
+    ])
+    def test_jump_to_smallest_power_of_two_multiple(self, monkeypatch,
+                                                    trial, l_s, i):
+        d = np.subtract(trial, _X0)
+        assert 2.0 * np.sum((np.array([8.0, 1.0]) * d) ** 2) / (d @ d) \
+            == pytest.approx(l_s)
+        assert q_value(stretched_model(), trial) > 0.0
+        tr = one_scripted_step(monkeypatch, [trial])
+        assert tr.l_accepted == [2.0 ** i]
+        assert tr.inner_doublings == [i]
+        assert 2.0 ** (i - 1) < l_s <= 2.0 ** i
+
+    @pytest.mark.parametrize("trial", [
+        (np.nan, 0.5),        # q is NaN
+        (1.0 + 5e153, 0.5),   # ||d||^2 finite, q = inf: l_s/l = inf
+        (1.0 + 1e160, 0.5),   # ||d||^2 = inf and q = inf: l_s/l is NaN
+        (1.0, 1.5),           # d = (0, 1): l_s = 2 = 2l, one doubling covers it
+    ])
+    def test_no_usable_estimate_moves_one_doubling(self, monkeypatch, trial):
+        # the overflowing trials overflow q itself, which numpy warns about
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = one_scripted_step(monkeypatch, [trial])
+        assert tr.l_accepted == [2.0]
+        assert tr.inner_doublings == [1]
+
+    def test_estimate_below_l_moves_one_doubling(self, monkeypatch):
+        # the first trial jumps l to 128; the second measures l_s = 2 < l
+        tr = one_scripted_step(monkeypatch, [(2.0, 0.5), (1.0, 1.5)])
+        assert tr.l_accepted == [256.0]
+        assert tr.inner_doublings == [8]
+
+    def test_doublings_sum_the_exponents(self, monkeypatch):
+        # l_s = 2 at l = 1 (i = 1), then l_s = 65 at l = 2 (i = 6)
+        tr = one_scripted_step(monkeypatch, [(1.0, 1.5), (2.0, 1.5)])
+        assert tr.l_accepted == [128.0]
+        assert tr.inner_doublings == [7]
+
+    def test_round_off_gap_is_capped_by_the_residual_step(self, monkeypatch):
+        # x0 = (112.5, 0) sits on the boundary (q = 0, xi = (1600, 0)) of a
+        # ball with sigma = 100; at |d| ~ 1e-13 the q values differ only by
+        # round-off, which reads as l_s ~ 1.8e14, while ||A d||^2 still
+        # gives the true l_s = 128
+        model = LeastSquares(np.diag([8.0, 1.0]), [800.0, 0.0], sigma=100.0)
+        x0 = (112.5, 0.0)
+        trial = (112.5 + 1e-13, 0.0)
+        d = np.subtract(trial, x0)
+        xi = grad_p1(model, x0)
+        raw = q_value(model, trial) - q_value(model, x0) - xi @ d
+        assert 2.0 * raw / (d @ d) > 1e10
+        tr = one_scripted_step(monkeypatch, [trial], model=model, x0=x0)
+        assert tr.l_accepted == [128.0]
+        assert tr.inner_doublings == [7]
+
+    def test_jump_past_cap_raises_before_another_solve(self, monkeypatch):
+        # cap = ceil(log2(2 l_max / l_min)) = 2, and the first trial asks
+        # for i = 7
+        cfg = SolverConfig(l_min=0.5, l_max=1.0, max_outer_iters=1)
+        with pytest.raises(InnerLoopError, match="after 7 curvature doublings"):
+            one_scripted_step(monkeypatch, [(2.0, 0.5)], cfg)
 
 
 class TestCriticalityResidual:
@@ -499,3 +606,89 @@ class TestExactKKTSolve:
         # lambda = 0 gives residual 0 at every scale s
         model = LeastSquares(np.eye(2), [1.0, 0.0], np.sqrt(1.0 - 1e-11))
         assert criticality_residual(model, [s, 0.0]) == 0.0
+
+
+@st.composite
+def small_models(draw):
+    """A random instance of one of the three models, n <= 40, m <= n: b is
+    A x_orig for a k-sparse x_orig plus noise (and, for RobustCS, iota <= r
+    outliers), and sigma takes a drawn share of q(0), so the origin stays
+    infeasible."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    x_orig = np.zeros(n)
+    x_orig[rng.permutation(n)[:k]] = rng.standard_normal(k)
+    b = A @ x_orig + draw(st.sampled_from([0.0, 1e-2, 1e-1])) * rng.standard_normal(m)
+    share = draw(st.floats(0.05, 0.9))
+    family = draw(st.sampled_from(["least_squares", "lorentzian", "robust_cs"]))
+    if family == "least_squares":
+        return LeastSquares(A, b, sigma=share * np.linalg.norm(b))
+    if family == "lorentzian":
+        gamma = draw(st.sampled_from([0.02, 0.3, 1.0]))
+        return Lorentzian(A, b, sigma=share * lorentzian_norm(b, gamma),
+                          gamma=gamma)
+    r = draw(st.integers(0, m - 1))
+    iota = draw(st.integers(0, r))
+    b[rng.permutation(m)[:iota]] += 10.0 * rng.standard_normal(iota)
+    return RobustCS(A, b, sigma=share * np.sqrt(dist_sq_sparse(b, r)), r=r)
+
+
+def descent_allowance(model, objective, cfg, tr, t):
+    """How far the objective may rise from iterate t to t + 1.
+
+    The step minimizes the prox objective over the ball exactly for a
+    squared radius R' within sub_tol * max(R, 1) of R (the ball prox's
+    contract), so with x_t at distance dist from that ball (0 for q <= 0)
+    the moving-balls descent argument gives ||x+||_1 <= ||x_t||_1
+    + sqrt(n) dist + alpha/2 dist^2, and for the ratio the same bound with
+    sqrt(n) doubled, divided by ||x+||. An iterate accepted with q in
+    (0, feas_tol] lies outside its next ball, by 2q/l / (||xi||/l + sqrt R).
+    4 n eps of the objective covers evaluating it.
+    """
+    x = tr.iterates[t]
+    n = x.size
+    q, l = tr.q_vals[t], tr.l_accepted[t]
+    xi = grad_p1(model, x) - subgrad_p2(model, x)
+    a = float(np.linalg.norm(xi)) / l
+    R = max(a * a - 2.0 * q / l, 0.0)
+    dist = 2.0 * max(q, 0.0) / l / (a + np.sqrt(R))
+    if R > 0.0:
+        dist += cfg.sub_tol * max(R, 1.0) / np.sqrt(R)
+    rise = np.sqrt(n) * dist + cfg.alpha / 2.0 * dist * dist
+    if objective == OBJECTIVE_RATIO:
+        rise = (rise + np.sqrt(n) * dist) / tr.x_norm[t + 1]
+    return rise + 4.0 * n * np.finfo(float).eps * tr.objective[t]
+
+
+class TestRunMBAProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models())
+    def test_every_iterate(self, model):
+        cfg = SolverConfig(max_outer_iters=500, record_iterates=True)
+        x0 = feasible_start(model, cfg.feas_tol)
+        # curvature bound of grad P1 = 2 A^T (Ax - b)
+        lip = 2.0 * np.linalg.norm(model.A.entries, 2) ** 2
+        for objective in (OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1):
+            res = run_mba(model, objective, x0, cfg)
+            tr = res.trace
+            assert res.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
+            assert len(tr.iterates) == res.iterations + 1
+            for x, q in zip(tr.iterates, tr.q_vals):
+                assert q == q_value(model, x) <= cfg.feas_tol
+            for t in range(res.iterations):
+                assert (tr.objective[t + 1] - tr.objective[t]
+                        <= descent_allowance(model, objective, cfg, tr, t))
+            if isinstance(model, LeastSquares):
+                assert all(l < 4.0 * lip for l, i in
+                           zip(tr.l_accepted, tr.inner_doublings) if i > 0)
+            again = run_mba(model, objective, x0, cfg)
+            assert np.array_equal(res.x_final, again.x_final)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(tr.iterates, again.trace.iterates))
+            for name in ("omega", "objective", "x_norm", "step_norm",
+                         "l_accepted", "inner_doublings", "q_vals"):
+                assert getattr(tr, name) == getattr(again.trace, name)
+            assert res.criticality_residual == again.criticality_residual

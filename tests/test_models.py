@@ -14,6 +14,7 @@ from sparseratio.models import (
     Lorentzian,
     RobustCS,
     SensingMatrix,
+    _p1_curvature,
     _sparse_keep,
     _subgrad_p2_of_residual,
     dist_sq_sparse,
@@ -357,6 +358,38 @@ class TestLipschitzBounds:
             x, xp = rng.standard_normal((2, model.A.n))
             lhs = np.linalg.norm(grad_p1(model, x) - grad_p1(model, xp))
             assert lhs <= L * np.linalg.norm(x - xp) * (1.0 + 1e-9)
+
+
+    @pytest.mark.parametrize("kind", ["ls", "lorentzian", "robust"])
+    def test_p1_curvature_bounds_the_bregman_gap(self, kind):
+        # P1(x + d) - P1(x) - <grad P1(x), d> <= c ||A d||^2, with equality
+        # for the squared residual and in the limit d -> 0 at zero residual
+        # for the Lorentzian
+        model = random_model(kind, seed=35)
+        A = model.A.entries
+
+        def p1(x):
+            res = A @ x - model.b
+            if kind == "lorentzian":
+                return lorentzian_norm(res, model.gamma)
+            return float(res @ res)
+
+        c = _p1_curvature(model)
+        rng = np.random.default_rng(36)
+        for scale in (1e-3, 1e-1, 1.0, 10.0):
+            x, d = rng.standard_normal((2, model.A.n))
+            d *= scale
+            gap = p1(x + d) - p1(x) - grad_p1(model, x) @ d
+            bound = c * float(np.sum((A @ d) ** 2))
+            assert gap <= bound * (1.0 + 1e-9)
+            if kind != "lorentzian":
+                assert gap == pytest.approx(bound, rel=1e-6)
+        if kind == "lorentzian":
+            x = np.linalg.lstsq(A, model.b, rcond=None)[0]
+            d = 1e-6 * model.gamma * rng.standard_normal(model.A.n)
+            gap = p1(x + d) - p1(x) - grad_p1(model, x) @ d
+            assert gap == pytest.approx(c * float(np.sum((A @ d) ** 2)),
+                                        rel=1e-3)
 
 
 class TestConstruction:
