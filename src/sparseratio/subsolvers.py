@@ -4,11 +4,13 @@ Both outer loops repeatedly minimize ``||x||_1 + alpha/2 ||x - c||^2`` over a
 simple set: a Euclidean ball for the moving-balls iterations, an affine set
 {x : Ax = b} for the noiseless basis-pursuit style iterations. The ball case
 is solved exactly: the multiplier is the root of a piecewise closed-form
-scalar equation, located by one sort of its breakpoints and a cumulative-sum
-sweep. The affine case is solved by semismooth Newton on its dual, with the
-exact step along each direction found by one sort of its breakpoints and a
-bisection over them, and stops on a duality-gap certificate for an exactly
-feasible point.
+scalar equation. The sums that define it at 0 decide whether the ball is
+active; if so, the root is located by one sort of the breakpoints below a
+closed-form bound on it and a cumulative-sum sweep. Either way the point is
+evaluated once. The affine case is solved by semismooth Newton on its dual,
+with the exact step along each direction found by one sort of its
+breakpoints and a bisection over them, and stops on a duality-gap
+certificate for an exactly feasible point.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "prox_l1_affine",
     "least_norm_solution",
 ]
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 class SubsolverError(RuntimeError):
     """A subproblem solver failed to reach its tolerance."""
@@ -91,9 +96,6 @@ class BallProxSolution:
     active: bool
 
 
-_UNIT_PAIR = np.array([[1.0], [-1.0]])
-
-
 def _ball_x_of_mu(c, s, alpha, mu):
     return soft_threshold((alpha * c + mu * s) / (alpha + mu), 1.0 / (alpha + mu))
 
@@ -101,66 +103,102 @@ def _ball_x_of_mu(c, s, alpha, mu):
 def _segment_sums(active, sigma, u, s) -> tuple[float, float]:
     """N = sum of (u_i - sigma_i)^2 over active i, S = sum of s_i^2 over
     the rest."""
-    w = np.where(active, u - sigma, 0.0)
-    z = np.where(active, 0.0, s)
+    w = (u - sigma) * active
+    z = s * ~active
     return float(w @ w), float(z @ z)
 
 
-def _ball_multiplier(c, s, R, alpha) -> float:
-    """Root of phi(mu) = ||x(mu) - s||^2 - R on mu > 0, given phi(0) > 0.
+def _ball_multiplier(c, s, R, alpha) -> float | None:
+    """Root of phi(mu) = ||x(mu) - s||^2 - R on mu > 0, or None when
+    phi(0) <= 0 (the ball is inactive).
 
     Coordinate i of x(mu) is nonzero (active) exactly when
     |alpha c_i + mu s_i| > 1, and then x_i - s_i = (u_i - sigma_i)/(alpha + mu)
     with u = alpha (c - s) and sigma_i the sign of alpha c_i + mu s_i. The
-    active set changes only at the breakpoints mu = (+-1 - alpha c_i)/s_i,
-    so between two consecutive ones phi(mu) = N/(alpha + mu)^2 + S - R,
-    with N summing (u_i - sigma_i)^2 over active coordinates and S summing
-    s_i^2 over the others. One sort of the positive breakpoints and a
-    cumulative sum of the changes to N and S give phi at every breakpoint;
-    the root lies on the first segment whose right end has phi <= 0.
+    active set changes only at breakpoints, so between two consecutive ones
+    phi(mu) = N/(alpha + mu)^2 + S - R, with N summing (u_i - sigma_i)^2
+    over active coordinates and S summing s_i^2 over the others. phi(0)
+    comes from the sums N0, S0 of the state just right of mu = 0, so no
+    point is evaluated to test whether the ball is active.
+
+    For s_i != 0, alpha c_i + mu s_i moves toward sign(s_i). With
+    t_i = sign(s_i) alpha c_i, a coordinate with t_i < 1 turns active at
+    (sign(s_i) - alpha c_i)/s_i;
+    one with t_i < -1 starts active on the other side and first turns
+    inactive at (-sign(s_i) - alpha c_i)/s_i. Each coordinate obeys
+    |x_i(mu) - s_i| <= (|u_i| + 1)/(alpha + mu), whether active or not, so
+    the root is at most ub = || |u| + 1 || / sqrt(R) - alpha and the
+    breakpoints above ub are dropped before the sort. A cumulative sum of
+    the changes to N and S over the sorted rest gives phi at each of them;
+    the root lies on the first segment whose right end has phi <= 0, or on
+    the last one, which then ends at the first dropped breakpoint.
     """
-    n = c.size
     a = alpha * c
     u = a - alpha * s
     sgn = np.sign(s)
     sigma0 = np.sign(a)
+    t = sgn * a
     # the state just right of mu = 0: a coordinate with |alpha c_i| = 1
     # turns active at once if alpha c_i + mu s_i grows in magnitude
-    abs_a = np.abs(a)
-    active0 = (abs_a > 1.0) | ((abs_a == 1.0) & (sigma0 == sgn))
-
-    # events 0..n-1 cross alpha c_i + mu s_i = +1, events n..2n-1 cross -1;
-    # s_i = 0 gives no breakpoint
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bps = ((_UNIT_PAIR - a) / s).ravel()
-    events = np.flatnonzero((bps > 0.0) & (bps < np.inf))
-    order = events[np.argsort(bps[events])]
-    # crossing +1 turns a coordinate active when s_i > 0, crossing -1 when
-    # s_i < 0. Turning active adds (u_i -+ 1)^2 to N and takes s_i^2 out of
-    # S; turning inactive does the reverse.
-    signed_sq = sgn * s * s
-    d_N = np.concatenate((sgn * (u - 1.0) ** 2, -sgn * (u + 1.0) ** 2))[order]
-    d_S = np.concatenate((-signed_sq, signed_sq))[order]
+    active0 = (np.abs(a) > 1.0) | (t == 1.0)
     N0, S0 = _segment_sums(active0, sigma0, u, s)
-    # phi at each breakpoint, from the state before that crossing; dividing
-    # twice lets N/(alpha + mu)^2 underflow to 0 where the square overflows
-    scale = alpha + bps[order]
-    phi_right = ((N0 + (np.cumsum(d_N) - d_N)) / scale / scale
-                 + (np.cumsum(d_S) - d_S) + (S0 - R))
-    hits = np.flatnonzero(phi_right <= 0.0)
-    k = int(hits[0]) if hits.size else order.size
-    lo = float(bps[order[k - 1]]) if k > 0 else 0.0
-    hi = float(bps[order[k]]) if k < order.size else math.inf
+    # dividing twice lets N/alpha^2 underflow to 0 where the square overflows
+    if N0 / alpha / alpha + (S0 - R) <= 0.0:
+        return None
+
+    deact = (t < -1.0).nonzero()[0]
+    w = np.abs(u) + 1.0
+    # s_i = 0 gives no breakpoint: its quotient is infinite or NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ub = math.sqrt(float(w @ w)) / math.sqrt(R) - alpha
+        on = (sgn - a) / s
+        off = (-sgn[deact] - a[deact]) / s[deact]
+    # an infinite bound keeps every finite breakpoint and no infinite one
+    ub = min(max(ub, 0.0), _FLOAT_MAX)
+    # turning active adds (u_i - sign(s_i))^2 to N and takes s_i^2 out of
+    # S; turning inactive, from sigma_i = -sign(s_i), does the reverse
+    coord = ((on > 0.0) & (on <= ub)).nonzero()[0]
+    n_on = coord.size
+    bps = on[coord]
+    d_N = (u[coord] - sgn[coord]) ** 2
+    s_ev = s[coord]
+    d_S = -(s_ev * s_ev)
+    if deact.size:
+        kept = (off > 0.0) & (off <= ub)
+        j = deact[kept]
+        coord = np.concatenate((coord, j))
+        bps = np.concatenate((bps, off[kept]))
+        d_N = np.concatenate((d_N, -(u[j] + sgn[j]) ** 2))
+        d_S = np.concatenate((d_S, s[j] * s[j]))
+    order = bps.argsort()
+    bps, d_N, d_S = bps[order], d_N[order], d_S[order]
+    # phi at each breakpoint, from the state before that crossing
+    scale = alpha + bps
+    phi_right = ((N0 + (d_N.cumsum() - d_N)) / scale / scale
+                 + (d_S.cumsum() - d_S) + (S0 - R))
+    hits = (phi_right <= 0.0).nonzero()[0]
+    k = int(hits[0]) if hits.size else bps.size
+    lo = float(bps[k - 1]) if k > 0 else 0.0
+    # past the kept breakpoints the segment ends at the first dropped one,
+    # not at ub: where the bound is tight (one coordinate with
+    # sigma_i = -sign(u_i), say) the root rounds to either side of ub
+    hi = (float(bps[k]) if k < bps.size
+          else min(float(np.min(on, where=(on > ub) & (on < math.inf),
+                                initial=math.inf)),
+                   float(np.min(off, where=off > ub, initial=math.inf))))
 
     # N and S of segment k summed directly rather than read off the running
     # sums, whose cancellation error would swamp a radius R far below S.
-    # A coordinate crossed once has toggled; after any crossing its sign is
-    # the direction alpha c_i + mu s_i moves in, the sign of s_i.
-    crossed = np.zeros(2 * n, dtype=bool)
-    crossed[order[:k]] = True
-    plus, minus = crossed[:n], crossed[n:]
-    N, S = _segment_sums(active0 ^ plus ^ minus,
-                         np.where(plus | minus, sgn, sigma0), u, s)
+    # A coordinate that turns inactive turns active again at a later
+    # breakpoint; after any crossing its sign is sign(s_i).
+    crossed = order[:k]
+    flipped = coord[crossed]
+    active = active0.copy()
+    active[flipped] = False
+    active[coord[crossed[crossed < n_on]]] = True
+    sigma = sigma0.copy()
+    sigma[flipped] = sgn[flipped]
+    N, S = _segment_sums(active, sigma, u, s)
     if not R - S > 0.0:
         raise SubsolverError(
             f"ball prox root lost to cancellation: R = {R:.3e} does not "
@@ -182,9 +220,12 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
     unconstrained prox (mu = 0) already lies in the ball, or
     phi(mu) = ||x(mu) - s||^2 - R vanishes. phi is piecewise of the form
     N/(alpha + mu)^2 + S - R between the breakpoints where a coordinate of
-    x(mu) becomes zero or nonzero, so one sort of the breakpoints and a
-    cumulative-sum sweep find the segment holding the root, and the root
-    there is mu = sqrt(N/(R - S)) - alpha in closed form. x(mu) is then
+    x(mu) becomes zero or nonzero (see _ball_multiplier). The sums N and S
+    at mu = 0 decide whether the ball is active; if it is, one sort of the
+    breakpoints below the closed-form bound
+    mu <= || |alpha (c - s)| + 1 || / sqrt(R) - alpha and a cumulative-sum
+    sweep find the segment holding the root, and the root there is
+    mu = sqrt(N/(R - S)) - alpha in closed form. Either way x(mu) is
     evaluated once.
 
     tol bounds the constraint error of the returned point:
@@ -201,13 +242,10 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
     if R == 0.0:
         return BallProxSolution(x=s.copy(), mu=0.0, active=True)
 
-    x0 = _ball_x_of_mu(c, s, alpha, 0.0)
-    d = x0 - s
-    phi0 = float(d @ d) - R
-    if phi0 <= 0.0:
-        return BallProxSolution(x=x0, mu=0.0, active=False)
-
     mu = _ball_multiplier(c, s, R, alpha)
+    if mu is None:
+        return BallProxSolution(x=_ball_x_of_mu(c, s, alpha, 0.0), mu=0.0,
+                                active=False)
     if not math.isfinite(mu):
         raise SubsolverError(
             "ball multiplier overflowed; R is vanishingly small relative "

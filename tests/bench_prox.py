@@ -5,9 +5,14 @@ explicitly with pytest-benchmark:
 
     PYTHONPATH=src python -m pytest tests/bench_prox.py
 
-Each ball case is one moving-balls step's subproblem with an active ball
-and alpha = 1: a sparse prox centre c, a dense ball centre s near it, and a
-radius a quarter of the unconstrained prox's squared distance to s.
+Each ball case is one moving-balls step's subproblem with alpha = 1: a
+sparse prox centre c and a dense ball centre s near it. The active case
+takes a radius a quarter of the unconstrained prox's squared distance to s,
+the inactive case four times that distance, so its prox returns at mu = 0.
+The turn-off case flips s against c on the support, where then
+sign(s_i) alpha c_i < -1: each support coordinate turns inactive and then
+active again as mu grows, and with a radius of a hundredth of that distance
+the sweep crosses both breakpoints of most of them.
 
 Each affine case is the first prox of run_algorithm1 (alpha = 1, default
 tolerance and cap) from the least-norm start on a noiseless instance: a
@@ -28,21 +33,40 @@ from sparseratio.subsolvers import (
 )
 
 
-def active_ball_problem(n: int) -> BallProxProblem:
+def ball_problem(n: int, radius_factor: float = 0.25,
+                 turn_off: bool = False) -> BallProxProblem:
     rng = np.random.default_rng(n)
     c = np.zeros(n)
     support = rng.permutation(n)[: n // 32]
     c[support] = 3.0 * rng.standard_normal(support.size)
     s = c + 0.2 * rng.standard_normal(n)
+    if turn_off:
+        s[support] = -0.5 * c[support]
     d0 = soft_threshold(c, 1.0) - s
-    return BallProxProblem(c=c, s=s, R=0.25 * float(d0 @ d0), alpha=1.0)
+    return BallProxProblem(c=c, s=s, R=radius_factor * float(d0 @ d0),
+                           alpha=1.0)
 
 
 @pytest.mark.parametrize("n", [640, 2560])
 def test_prox_l1_ball_active(benchmark, n):
-    problem = active_ball_problem(n)
+    sol = benchmark(prox_l1_ball, ball_problem(n))
+    assert sol.active
+
+
+@pytest.mark.parametrize("n", [640, 2560])
+def test_prox_l1_ball_inactive(benchmark, n):
+    sol = benchmark(prox_l1_ball, ball_problem(n, radius_factor=4.0))
+    assert not sol.active
+
+
+@pytest.mark.parametrize("n", [640, 2560])
+def test_prox_l1_ball_turn_off(benchmark, n):
+    problem = ball_problem(n, radius_factor=0.01, turn_off=True)
     sol = benchmark(prox_l1_ball, problem)
     assert sol.active
+    # some support coordinate has crossed both its breakpoints
+    flipped = np.sign(sol.x) == np.sign(problem.s)
+    assert np.any(flipped & (np.sign(problem.s) * problem.c < -1.0))
 
 
 def first_affine_prox(m: int, n: int, k: int):

@@ -8,6 +8,7 @@ None of it shares code paths with the package under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -111,6 +112,75 @@ def bisection_prox_ball(c, s, R: float, alpha: float):
         else:
             hi = mid
     return ball_point_oracle(c, s, alpha, best_mu), best_mu
+
+
+def full_sweep_prox_ball(c, s, R: float, alpha: float):
+    """Ball-constrained l1 prox by a sort and sweep over all 2n breakpoints.
+
+    A frozen copy of the library's earlier exact solve, kept so that its
+    bounded sweep can be checked bit for bit. phi(mu) = ||x(mu) - s||^2 - R
+    is evaluated directly at mu = 0 to test whether the ball is active;
+    otherwise every positive breakpoint (+-1 - alpha c_i)/s_i is sorted,
+    phi at each is read off cumulative sums of the changes to
+    N = sum over active i of (u_i - sigma_i)^2 (u = alpha (c - s)) and
+    S = sum over inactive i of s_i^2, and the root of
+    N/(alpha + mu)^2 + S - R on the first segment whose right end has
+    phi <= 0 is taken, with N and S of that segment summed directly.
+    Returns (x, mu, active).
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+
+    def point(mu):
+        v = (alpha * c + mu * s) / (alpha + mu)
+        return np.sign(v) * np.maximum(np.abs(v) - 1.0 / (alpha + mu), 0.0)
+
+    def sums(active, sigma, u):
+        w = np.where(active, u - sigma, 0.0)
+        z = np.where(active, 0.0, s)
+        return float(w @ w), float(z @ z)
+
+    if R == 0.0:
+        return s.copy(), 0.0, True
+    x0 = point(0.0)
+    d = x0 - s
+    if float(d @ d) - R <= 0.0:
+        return x0, 0.0, False
+
+    n = c.size
+    a = alpha * c
+    u = a - alpha * s
+    sgn = np.sign(s)
+    sigma0 = np.sign(a)
+    abs_a = np.abs(a)
+    active0 = (abs_a > 1.0) | ((abs_a == 1.0) & (sigma0 == sgn))
+    # events 0..n-1 cross alpha c_i + mu s_i = +1, events n..2n-1 cross -1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bps = ((np.array([[1.0], [-1.0]]) - a) / s).ravel()
+    events = np.flatnonzero((bps > 0.0) & (bps < np.inf))
+    order = events[np.argsort(bps[events])]
+    signed_sq = sgn * s * s
+    d_N = np.concatenate((sgn * (u - 1.0) ** 2, -sgn * (u + 1.0) ** 2))[order]
+    d_S = np.concatenate((-signed_sq, signed_sq))[order]
+    N0, S0 = sums(active0, sigma0, u)
+    scale = alpha + bps[order]
+    phi_right = ((N0 + (np.cumsum(d_N) - d_N)) / scale / scale
+                 + (np.cumsum(d_S) - d_S) + (S0 - R))
+    hits = np.flatnonzero(phi_right <= 0.0)
+    k = int(hits[0]) if hits.size else order.size
+    lo = float(bps[order[k - 1]]) if k > 0 else 0.0
+    hi = float(bps[order[k]]) if k < order.size else math.inf
+    crossed = np.zeros(2 * n, dtype=bool)
+    crossed[order[:k]] = True
+    plus, minus = crossed[:n], crossed[n:]
+    N, S = sums(active0 ^ plus ^ minus, np.where(plus | minus, sgn, sigma0), u)
+    if not R - S > 0.0:
+        raise ArithmeticError("the root was lost to cancellation")
+    ratio = N / (R - S)
+    root = (math.sqrt(ratio) if ratio < math.inf
+            else math.sqrt(N) / math.sqrt(R - S))
+    mu = min(max(root - alpha, lo), hi)
+    return point(mu), mu, True
 
 
 def grid_prox_ball_oracle(c, s, R, alpha, levels: int = 40, pts: int = 12):

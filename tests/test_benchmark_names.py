@@ -14,8 +14,13 @@ from pathlib import Path
 
 import sparseratio
 from sparseratio.cli import PipelineResult, run_pipeline
-from sparseratio.drivers import IterateTrace, SolverConfig
-from sparseratio.instances import GenSpec
+from sparseratio.drivers import (
+    OBJECTIVE_RATIO,
+    IterateTrace,
+    SolverConfig,
+    feasible_start,
+)
+from sparseratio.instances import GenSpec, generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,6 +42,22 @@ def test_tracer_swaps_resolve_on_package():
     names = [(module, attr) for module, attr, _ in tracer.SWAPS]
     for module, attr in [*names, ("subsolvers", "soft_threshold")]:
         assert hasattr(getattr(sparseratio, module), attr), f"{module}.{attr}"
+
+
+def test_ball_prox_layer_counts():
+    # each ball-prox call evaluates one point x(mu), and run_mba reaches the
+    # layer only through the two names the tracer swaps
+    tracer_module = load_perfbench("tracer")
+    inst = generate(GenSpec(family="cauchy", n=128, m=48, k=6, seed=3))
+    x0 = feasible_start(inst.model)
+    with tracer_module.Tracer(sparseratio) as tracer:
+        sparseratio.drivers.run_mba(inst.model, OBJECTIVE_RATIO, x0,
+                                    SolverConfig(max_outer_iters=40))
+    totals = tracer_module.layer_totals(tracer.spans)
+    calls = totals["subsolvers.prox_l1_ball"]["calls"]
+    assert calls > 40
+    assert tracer.evals[None, "subsolvers.prox_l1_ball"] == calls
+    assert totals["subsolvers.BallProxProblem"]["calls"] == calls
 
 
 def test_fields_the_benchmark_reads():

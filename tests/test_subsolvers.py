@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
@@ -23,6 +23,7 @@ from sparseratio.subsolvers import (
 from oracles import (
     ball_point_oracle,
     bisection_prox_ball,
+    full_sweep_prox_ball,
     grid_min_scalar,
     projected_subgradient_affine,
     projected_subgradient_ball,
@@ -182,12 +183,14 @@ def ball_gap(sol, p):
 
 
 def breakpoints(p):
-    """The positive multipliers at which a coordinate of x(mu) turns zero
-    or nonzero."""
+    """The positive finite multipliers at which a coordinate of x(mu) turns
+    zero or nonzero."""
     a = p.alpha * p.c
     nz = p.s != 0.0
-    bps = np.concatenate(((1.0 - a[nz]) / p.s[nz], (-1.0 - a[nz]) / p.s[nz]))
-    return np.sort(bps[bps > 0.0])
+    with np.errstate(over="ignore"):
+        bps = np.concatenate(((1.0 - a[nz]) / p.s[nz],
+                              (-1.0 - a[nz]) / p.s[nz]))
+    return np.sort(bps[(bps > 0.0) & (bps < np.inf)])
 
 
 def assert_matches_bisection(p, sol, kkt_tol=1e-10):
@@ -199,7 +202,8 @@ def assert_matches_bisection(p, sol, kkt_tol=1e-10):
     if p.R > 0.0:
         kkt = stationarity_residual(sol.x, p.c, p.s, p.alpha, sol.mu)
         assert kkt <= kkt_tol
-    assert abs(sol.mu * gap) <= 1e-10 * (1.0 + sol.mu)
+    # the gap is known relative to max(R, 1), so the product is bounded there
+    assert abs(sol.mu * gap) <= 1e-10 * (1.0 + sol.mu) * max(p.R, 1.0)
     if mu_ref > 0.0:
         assert sol.active
     if not sol.active:
@@ -224,11 +228,51 @@ def ball_problems(draw):
     s = draw(arrays(float, n, elements=st.one_of(
         st.just(0.0), st.sampled_from([-1.5, 0.5, 2.0]), ball_entries)))
     alpha = draw(st.floats(0.1, 10.0))
+    kind = draw(st.sampled_from(["plain", "turn_off", "s_scaled"]))
+    if kind == "turn_off":
+        # a coordinate with |alpha c_i| > 1 and s_i of the other sign starts
+        # active, turns inactive and then active again with the other sign
+        big = np.abs(alpha * c) > 1.0
+        s = np.where(big, -np.sign(c) * np.where(s == 0.0, 0.5, np.abs(s)), s)
+    elif kind == "s_scaled":
+        # subnormal s overflows the breakpoints (+-1 - alpha c_i)/s_i; huge s
+        # puts ||s||^2 and the swept sums near overflow
+        s = s * draw(st.sampled_from([2.0 ** -1050, 2.0 ** 300, 2.0 ** 490]))
     d0 = ball_point_oracle(c, s, alpha, 0.0) - s
     # R spans from far inside the unconstrained prox's distance to beyond it
     R = float(d0 @ d0) * draw(st.floats(1e-8, 1.5)) + draw(
         st.sampled_from([0.0, 1e-6, 0.5]))
     return BallProxProblem(c=c, s=s, R=R, alpha=alpha)
+
+
+def beyond_sphere_accuracy(p):
+    """Whether prox_l1_ball may miss its sphere check on p by rounding alone.
+
+    Each x_i - s_i carries a rounding of about eps |s_i|, so the computed
+    ||x - s||^2 can miss R by about 2 eps ||s|| sqrt(R) (64 eps here, for
+    n <= 64). The check allows tol * max(R, 1), and the absolute 1 in it
+    is not scale-free: with ||s|| far above max(R, 1)/sqrt(R), a huge s
+    with a comparatively tiny ball, no representable x passes.
+    """
+    return (64.0 * np.finfo(float).eps * float(np.linalg.norm(p.s))
+            * np.sqrt(p.R) > 1e-12 * max(p.R, 1.0))
+
+
+def solve_or_miss(p):
+    """prox_l1_ball(p), or None where it raises SubsolverError, which only
+    a draw beyond_sphere_accuracy may do."""
+    try:
+        return prox_l1_ball(p)
+    except SubsolverError:
+        assert beyond_sphere_accuracy(p)
+        return None
+
+
+def rounding_kkt_tol(p, sol):
+    """The KKT tolerance of assert_matches_bisection widened by the rounding
+    that mu (x - s) carries at the scale of s."""
+    ulp_s = np.finfo(float).eps * float(np.abs(p.s).max())
+    return max(1e-10, 8.0 * sol.mu * ulp_s)
 
 
 class TestExactBallSolve:
@@ -323,10 +367,62 @@ class TestExactBallSolve:
         assert sol.x[0] == pytest.approx(x_ref[0], rel=1e-10)
         assert abs(ball_gap(sol, p)) <= 1e-12 * max(p.R, 1.0)
 
+    def test_inactive_by_a_hair(self):
+        # phi(0) comes from the sums N0 and S0, not from x(0), so with R
+        # within a few ulps of ||x(0) - s||^2 it may round to either side of
+        # 0; either side must keep the contract
+        c = np.array([3.0, -0.5, 1.7, 0.0])
+        s = np.array([0.1, 0.2, -0.3, 0.7])
+        x0 = soft_threshold(c, 1.0)
+        d0 = x0 - s
+        R0 = float(d0 @ d0)
+        radii = [R0, np.nextafter(R0, 0.0), np.nextafter(R0, np.inf)]
+        for R in [*radii, R0 * (1.0 + 1e-9), R0 * (1.0 - 1e-9)]:
+            p = BallProxProblem(c=c, s=s, R=R, alpha=1.0)
+            sol = prox_l1_ball(p)
+            assert 0.0 <= sol.mu <= 1e-8
+            if sol.active:
+                assert abs(ball_gap(sol, p)) <= 1e-12 * max(R, 1.0)
+            else:
+                assert sol.mu == 0.0
+                np.testing.assert_array_equal(sol.x, x0)
+            assert stationarity_residual(sol.x, c, s, 1.0, sol.mu) <= 1e-10
+            np.testing.assert_allclose(sol.x, x0, rtol=0.0, atol=1e-8)
+        assert not prox_l1_ball(BallProxProblem(c=c, s=s, R=R0 * (1.0 + 1e-9),
+                                                alpha=1.0)).active
+        inside = prox_l1_ball(BallProxProblem(c=c, s=s, R=R0 * (1.0 - 1e-9),
+                                              alpha=1.0))
+        assert inside.active and inside.mu > 0.0
+
     @settings(max_examples=300, deadline=None)
+    @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
     @given(ball_problems())
     def test_matches_reference_bisection(self, p):
-        assert_matches_bisection(p, prox_l1_ball(p))
+        sol = solve_or_miss(p)
+        if sol is not None:
+            assert_matches_bisection(p, sol, kkt_tol=rounding_kkt_tol(p, sol))
+
+    @settings(max_examples=300, deadline=None)
+    @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
+    @given(ball_problems())
+    def test_same_bits_as_the_full_sweep(self, p):
+        # the bounded sweep crosses the same breakpoints in the same order as
+        # a sweep over all of them, unless two tie; the activity test from
+        # the sums agrees with the direct one unless R is within rounding of
+        # ||x(0) - s||^2
+        sol = solve_or_miss(p)
+        if sol is None:
+            return
+        x_ref, mu_ref, active_ref = full_sweep_prox_ball(p.c, p.s, p.R,
+                                                         p.alpha)
+        d0 = ball_point_oracle(p.c, p.s, p.alpha, 0.0) - p.s
+        phi0_scale = float(d0 @ d0) + p.R
+        if (np.any(np.diff(breakpoints(p)) == 0.0)
+                or abs(float(d0 @ d0) - p.R) <= 1e-12 * phi0_scale):
+            assert_matches_bisection(p, sol, kkt_tol=rounding_kkt_tol(p, sol))
+        else:
+            assert sol.x.tobytes() == x_ref.tobytes()
+            assert sol.mu == mu_ref and sol.active == active_ref
 
 
 @st.composite
