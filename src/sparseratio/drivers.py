@@ -39,6 +39,7 @@ from .models import (
     _grad_p1_of_residual,
     _p1_curvature,
     _q_of_residual,
+    _residual,
     _subgrad_p2_of_residual,
     grad_p1,  # unused here; perfbench/tracer.py swaps drivers.grad_p1
     is_feasible,
@@ -497,7 +498,7 @@ def criticality_residual(model: ConstraintModel, x,
     x = _as_vector(x, model.A.n, "x")
     if not np.any(x):
         raise ValueError("criticality residual is undefined at x = 0")
-    res = model.A.entries @ x - model.b
+    res = _residual(model, x)
     qx = _q_of_residual(model, res)
     if qx > feas_tol:
         raise ValueError(f"x is infeasible: q(x) = {qx:.3e} > {feas_tol:.3e}")

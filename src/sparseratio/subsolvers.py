@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 
 class SubsolverError(RuntimeError):
@@ -119,7 +120,9 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     phi(mu) = N/(alpha + mu)^2 + S - R, with N summing (u_i - sigma_i)^2
     over active coordinates and S summing s_i^2 over the others. phi(0)
     comes from the sums N0, S0 of the state just right of mu = 0, so no
-    point is evaluated to test whether the ball is active.
+    point is evaluated to test whether the ball is active. R is subtracted
+    last, as from ||x(0) - s||^2: where N0/alpha^2 is lost in the rounding
+    of S0, both read phi(0) = S0 - R.
 
     For s_i != 0, alpha c_i + mu s_i moves toward sign(s_i). With
     t_i = sign(s_i) alpha c_i, a coordinate with t_i < 1 turns active at
@@ -127,11 +130,12 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     one with t_i < -1 starts active on the other side and first turns
     inactive at (-sign(s_i) - alpha c_i)/s_i. Each coordinate obeys
     |x_i(mu) - s_i| <= (|u_i| + 1)/(alpha + mu), whether active or not, so
-    the root is at most ub = || |u| + 1 || / sqrt(R) - alpha and the
-    breakpoints above ub are dropped before the sort. A cumulative sum of
-    the changes to N and S over the sorted rest gives phi at each of them;
-    the root lies on the first segment whose right end has phi <= 0, or on
-    the last one, which then ends at the first dropped breakpoint.
+    the root is at most ub = || |u| + 1 || / sqrt(R) - alpha. The
+    breakpoints above ub, rounded up past the rounding of the quotient, are
+    dropped before the sort. A cumulative sum of the changes to N and S over
+    the sorted rest gives phi at each of them; the root lies on the first
+    segment whose right end has phi <= 0, or on the last one, which then
+    ends at the first dropped breakpoint.
     """
     a = alpha * c
     u = a - alpha * s
@@ -142,15 +146,19 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     # turns active at once if alpha c_i + mu s_i grows in magnitude
     active0 = (np.abs(a) > 1.0) | (t == 1.0)
     N0, S0 = _segment_sums(active0, sigma0, u, s)
-    # dividing twice lets N/alpha^2 underflow to 0 where the square overflows
-    if N0 / alpha / alpha + (S0 - R) <= 0.0:
+    # dividing twice lets N/alpha^2 underflow to 0 where the square overflows;
+    # R comes off last, as it does from ||x(0) - s||^2
+    if N0 / alpha / alpha + S0 - R <= 0.0:
         return None
 
     deact = (t < -1.0).nonzero()[0]
     w = np.abs(u) + 1.0
     # s_i = 0 gives no breakpoint: its quotient is infinite or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ub = math.sqrt(float(w @ w)) / math.sqrt(R) - alpha
+        # rounded up past the rounding of w @ w and of the quotient, so no
+        # breakpoint below the exact bound is dropped
+        q = math.sqrt(float(w @ w)) / math.sqrt(R)
+        ub = q * (1.0 + (w.size + 4) * _EPS) - alpha
         on = (sgn - a) / s
         off = (-sgn[deact] - a[deact]) / s[deact]
     # an infinite bound keeps every finite breakpoint and no infinite one

@@ -193,17 +193,17 @@ def breakpoints(p):
     return np.sort(bps[(bps > 0.0) & (bps < np.inf)])
 
 
-def assert_matches_bisection(p, sol, kkt_tol=1e-10):
+def assert_matches_bisection(p, sol, kkt_tol=1e-10, comp_tol=1e-10,
+                             x_tol=1e-10):
     x_ref, mu_ref = bisection_prox_ball(p.c, p.s, p.R, p.alpha)
-    assert np.linalg.norm(sol.x - x_ref) <= 1e-10 * max(1.0, np.linalg.norm(sol.x))
+    assert np.linalg.norm(sol.x - x_ref) <= x_tol * max(1.0, np.linalg.norm(sol.x))
     gap = ball_gap(sol, p)
     assert gap <= 1e-12 * max(p.R, 1.0)
     # a degenerate ball (R = 0) pins x = s; its multiplier is not meaningful
     if p.R > 0.0:
         kkt = stationarity_residual(sol.x, p.c, p.s, p.alpha, sol.mu)
         assert kkt <= kkt_tol
-    # the gap is known relative to max(R, 1), so the product is bounded there
-    assert abs(sol.mu * gap) <= 1e-10 * (1.0 + sol.mu) * max(p.R, 1.0)
+    assert abs(sol.mu * gap) <= comp_tol * (1.0 + sol.mu)
     if mu_ref > 0.0:
         assert sol.active
     if not sol.active:
@@ -268,11 +268,32 @@ def solve_or_miss(p):
         return None
 
 
-def rounding_kkt_tol(p, sol):
-    """The KKT tolerance of assert_matches_bisection widened by the rounding
-    that mu (x - s) carries at the scale of s."""
-    ulp_s = np.finfo(float).eps * float(np.abs(p.s).max())
-    return max(1e-10, 8.0 * sol.mu * ulp_s)
+def rounding_tols(p, sol):
+    """The tolerances of assert_matches_bisection, widened only where the
+    rounding of x - s at the scale of s exceeds them.
+
+    x_i - s_i carries about eps |s_i|, so mu (x - s) carries 8 mu eps max|s|
+    (above 1e-10 at mu > ~1e4 even for |s_i| <= 6), and ||x - s||^2 - R
+    carries band = 64 eps ||s|| sqrt(R), as in beyond_sphere_accuracy. For
+    draws with |s_i| <= 6 the band stays below 1e-10 and the complementarity
+    and point checks are unchanged. Above it, whether the ball is active and
+    where phi crosses 0 are known only to the band: along x(mu) the point
+    moves by 1/(2 ||x - s||_active) per unit of phi, so any two multipliers
+    whose phi lie within the band give points up to band/(2 ||x - s||_active)
+    apart. With s near 1e148 and R near 1e297 that is O(1): a crossing one
+    ulp of R to either side moves mu by 1e-148, which moves alpha c + mu s
+    by O(1).
+    """
+    eps = np.finfo(float).eps
+    tols = {"kkt_tol": max(1e-10, 8.0 * sol.mu * eps * float(np.abs(p.s).max()))}
+    band = 64.0 * eps * float(np.linalg.norm(p.s)) * np.sqrt(p.R)
+    if band > 1e-10:
+        x_ref, _ = bisection_prox_ball(p.c, p.s, p.R, p.alpha)
+        reach = min(float(np.linalg.norm((x - p.s)[x != 0.0]))
+                    for x in (sol.x, x_ref))
+        tols["comp_tol"] = band
+        tols["x_tol"] = max(1e-10, band / (2.0 * reach)) if reach > 0.0 else np.inf
+    return tols
 
 
 class TestExactBallSolve:
@@ -367,6 +388,22 @@ class TestExactBallSolve:
         assert sol.x[0] == pytest.approx(x_ref[0], rel=1e-10)
         assert abs(ball_gap(sol, p)) <= 1e-12 * max(p.R, 1.0)
 
+    @pytest.mark.parametrize("c0, s1, R", [
+        # R = s_1^2: phi(0) = 1 + s_1^2 - R is 0 in floating point, read off
+        # the sums as from ||x(0) - s||^2, so the ball is inactive
+        (2.0, -3.055553964501729e+90, 9.336410029982234e+180),
+        # R an ulp below s_1^2: the root sits at the breakpoint 1/|s_1|, and
+        # || |u| + 1 ||/sqrt(R) - alpha exceeds it by less than the rounding
+        # of that quotient
+        (1.6024338098404867, -6.732655185893088e+86, 4.532864585213309e+173),
+    ])
+    def test_radius_at_the_rounding_of_a_huge_centre(self, c0, s1, R):
+        p = BallProxProblem(c=[c0, 0.0], s=[0.0, s1], R=R, alpha=1.0)
+        sol = prox_l1_ball(p)
+        x_ref, mu_ref, active_ref = full_sweep_prox_ball(p.c, p.s, p.R, p.alpha)
+        assert sol.x.tobytes() == x_ref.tobytes()
+        assert sol.mu == mu_ref and sol.active == active_ref
+
     def test_inactive_by_a_hair(self):
         # phi(0) comes from the sums N0 and S0, not from x(0), so with R
         # within a few ulps of ||x(0) - s||^2 it may round to either side of
@@ -396,11 +433,14 @@ class TestExactBallSolve:
 
     @settings(max_examples=300, deadline=None)
     @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
+    # mu ~ 9e4 with |s_i| = 6: the KKT residual is 1.06e-10, all rounding
+    @example(BallProxProblem(c=[0.0, 0.0, 2.140625] + [1.0] * 13, s=[6.0] * 16,
+                             R=5.261670469225119e-06, alpha=9.75))
     @given(ball_problems())
     def test_matches_reference_bisection(self, p):
         sol = solve_or_miss(p)
         if sol is not None:
-            assert_matches_bisection(p, sol, kkt_tol=rounding_kkt_tol(p, sol))
+            assert_matches_bisection(p, sol, **rounding_tols(p, sol))
 
     @settings(max_examples=300, deadline=None)
     @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
@@ -419,7 +459,7 @@ class TestExactBallSolve:
         phi0_scale = float(d0 @ d0) + p.R
         if (np.any(np.diff(breakpoints(p)) == 0.0)
                 or abs(float(d0 @ d0) - p.R) <= 1e-12 * phi0_scale):
-            assert_matches_bisection(p, sol, kkt_tol=rounding_kkt_tol(p, sol))
+            assert_matches_bisection(p, sol, **rounding_tols(p, sol))
         else:
             assert sol.x.tobytes() == x_ref.tobytes()
             assert sol.mu == mu_ref and sol.active == active_ref
