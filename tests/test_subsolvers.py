@@ -280,9 +280,9 @@ def rounding_tols(p, sol):
     where phi crosses 0 are known only to the band: along x(mu) the point
     moves by 1/(2 ||x - s||_active) per unit of phi, so any two multipliers
     whose phi lie within the band give points up to band/(2 ||x - s||_active)
-    apart. With s near 1e148 and R near 1e297 that is O(1): a crossing one
-    ulp of R to either side moves mu by 1e-148, which moves alpha c + mu s
-    by O(1).
+    apart, about 32 eps ||s|| where R is near ||s||^2. With s near 1e148 a
+    crossing one ulp of R to either side moves mu by 1e-148 and so
+    alpha c + mu s by O(1).
     """
     eps = np.finfo(float).eps
     tols = {"kkt_tol": max(1e-10, 8.0 * sol.mu * eps * float(np.abs(p.s).max()))}
