@@ -15,6 +15,10 @@ Randomness is split into named substreams (matrix / support / values /
 noise) so each component draws an independent, order-insensitive stream
 from the single 64-bit seed. Instances regenerate bit-for-bit from
 (family, params, seed) on the same numpy build.
+
+The generators, and ``instance_from_dict``, build each matrix in an array
+of their own, freeze it and hand it to ``SensingMatrix``, which adopts it
+without a copy: the model's ``A.entries`` is that array.
 """
 
 from __future__ import annotations
@@ -151,7 +155,9 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 
 def _unit_column_gaussian(m: int, n: int, seed: int) -> np.ndarray:
     A = _rng(seed, _STREAM_MATRIX).standard_normal((m, n))
-    return A / np.linalg.norm(A, axis=0)
+    A /= np.linalg.norm(A, axis=0)
+    A.flags.writeable = False
+    return A
 
 
 def _sparse_support(n: int, k: int, seed: int) -> np.ndarray:
@@ -235,6 +241,7 @@ def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
     for attempt in range(_MAX_RANK_RETRIES):
         w = _rng(seed, _STREAM_MATRIX, attempt).random(m)
         A_try = np.cos(2.0 * np.pi * np.outer(w, cols) / F) / np.sqrt(m)
+        A_try.flags.writeable = False
         sm = SensingMatrix(A_try)
         if sm.has_full_row_rank:
             A_mat = sm
@@ -335,7 +342,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
-    A = SensingMatrix(np.array(doc["matrix"], dtype=float))
+    entries = np.array(doc["matrix"], dtype=float)
+    entries.flags.writeable = False
+    A = SensingMatrix(entries)
     b = np.array(doc["b"], dtype=float)
     model = _model_from_params(doc["model"], A, b)
     x_orig = _as_vector(doc["x_orig"], A.n, "x_orig")

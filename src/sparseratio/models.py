@@ -13,6 +13,10 @@ where P1 is smooth with Lipschitz gradient and P2 is convex and continuous:
 
 All constructors require q(0) > 0 (the origin must be infeasible, otherwise
 zero is a trivial sparsest solution) and a full-row-rank sensing matrix.
+``SensingMatrix`` factors A^T with one call to LAPACK's dgeqrf, which
+writes the Householder reflectors into the one copy it makes of A^T. It
+adopts a frozen float64 matrix that owns its data as its entries, so a
+run holds two matrix-sized arrays: the entries and the reflectors.
 All operations are pure functions of immutable inputs and safe to share
 across threads. The one cached value is ``SensingMatrix.q``, formed on
 first use: forming it twice gives the same bits, so a race between threads
@@ -27,7 +31,7 @@ import operator
 from typing import Union
 
 import numpy as np
-from scipy.linalg.lapack import dorgqr, dormqr
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dormqr
 
 __all__ = [
     "SensingMatrix",
@@ -86,21 +90,33 @@ def _full_norm(v) -> float:
 class SensingMatrix:
     """Dense m-by-n sensing matrix with a cached QR factorization of A^T.
 
-    A^T = Q R is factored once at construction by LAPACK's dgeqrf and kept
-    in its compact form: ``reflectors`` (n-by-m, column-major) holds the
-    Householder vectors below its diagonal and R on and above it, ``tau``
-    their min(m, n) scalar factors, and ``r`` is R itself (m-by-m when
-    m <= n). ``apply_q`` multiplies by Q through the reflectors. The
-    explicit n-by-min(m, n) Q with orthonormal columns is formed only when
-    ``q`` is first read, which only the affine prox does. Entries and
-    factors are frozen.
+    A^T = Q R is factored once at construction by one call to LAPACK's
+    dgeqrf at its optimal workspace, as np.linalg.qr calls it, and kept in
+    its compact form: ``reflectors`` (n-by-m, column-major, the copy of
+    A^T that dgeqrf overwrites) holds the Householder vectors below its
+    diagonal and R on and above it, ``tau`` their min(m, n) scalar
+    factors, and ``r`` is R itself (m-by-m when m <= n). ``apply_q``
+    multiplies by Q through the reflectors. The explicit n-by-min(m, n) Q
+    with orthonormal columns is formed only when ``q`` is first read,
+    which only the affine prox does.
+
+    Entries and factors are frozen. A read-only float64 array that owns
+    its data is adopted as ``entries`` without a copy. Any other input, a
+    writeable array or a view included, is copied first, so writing into
+    it later leaves the matrix unchanged. A caller that hands an array
+    over must not re-enable writes on it, nor write through a writeable
+    view of it taken before it was frozen.
     """
 
     __slots__ = ("entries", "m", "n", "reflectors", "tau", "r", "_q",
                  "_diag_min", "_diag_max")
 
     def __init__(self, entries):
-        entries = np.array(entries, dtype=float)
+        entries = np.asarray(entries, dtype=float)
+        # adopt a frozen array that owns its data; copy anything a caller
+        # could still write to, through the array itself or through its base
+        if entries.flags.writeable or entries.base is not None:
+            entries = np.array(entries)
         if entries.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {entries.shape}")
         if entries.size == 0:
@@ -108,9 +124,14 @@ class SensingMatrix:
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         self.m, self.n = entries.shape
-        # raw mode returns the transpose of LAPACK's column-major output
-        h, tau = np.linalg.qr(entries.T, mode="raw")
-        reflectors = np.asfortranarray(h.T)
+        # f2py copies entries.T once into column-major storage and dgeqrf
+        # overwrites that copy with the reflectors. The optimal (blocked)
+        # workspace, which np.linalg.qr also queries, gives its bits; the
+        # default one differs from them in the last bits.
+        lwork = int(dgeqrf_lwork(self.n, self.m)[0])
+        reflectors, tau, _, info = dgeqrf(entries.T, lwork=lwork)
+        if info != 0:
+            raise RuntimeError(f"dgeqrf failed with info = {info}")
         r = np.triu(reflectors[:min(self.m, self.n)])
         diag = np.abs(np.diag(r))
         self._diag_min = float(diag.min())

@@ -45,11 +45,16 @@ def robust_mid_run():
     return model, warm.x_final
 
 
-def test_sensing_matrix_factorization(benchmark, robust_mid_run):
-    # dgeqrf alone; the explicit Q is not formed
+@pytest.mark.parametrize("writeable", [False, True],
+                         ids=["adopted", "copied"])
+def test_sensing_matrix_factorization(benchmark, robust_mid_run, writeable):
+    # the finiteness check, dgeqrf on its one copy of A^T, and R; a
+    # writeable A is copied first. The explicit Q is not formed
     model, _ = robust_mid_run
-    sm = benchmark(SensingMatrix, model.A.entries)
+    entries = model.A.entries.copy() if writeable else model.A.entries
+    sm = benchmark(SensingMatrix, entries)
     assert sm.r.tobytes() == model.A.r.tobytes() and sm._q is None
+    assert (sm.entries is entries) != writeable
 
 
 def test_least_norm_solution(benchmark, robust_mid_run):

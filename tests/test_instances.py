@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from sparseratio.instances import (
+    _STREAM_MATRIX,
     GenSpec,
+    _rng,
+    _unit_column_gaussian,
     gen_badly_scaled,
     gen_cauchy,
     gen_robust_cs,
@@ -72,6 +75,15 @@ class TestGenRobustCS:
     def test_ground_truth_feasible(self):
         inst = gen_robust_cs(n=128, p=40, k=8, iota=3, seed=9)
         assert q_value(inst.model, inst.x_orig) <= 0.0
+
+    @pytest.mark.parametrize("m, n, seed", [(146, 512, 1), (730, 2560, 0)])
+    def test_matrix_matches_out_of_place_normalization(self, m, n, seed):
+        # the in-place division pins the bits the generator had when it
+        # divided into a new array, so saved seeds regenerate unchanged
+        raw = _rng(seed, _STREAM_MATRIX).standard_normal((m, n))
+        expected = raw / np.linalg.norm(raw, axis=0)
+        A = _unit_column_gaussian(m, n, seed)
+        assert A.tobytes() == expected.tobytes() and not A.flags.writeable
 
     def test_bitwise_determinism(self):
         a = gen_robust_cs(n=64, p=20, k=4, iota=2, seed=11)
