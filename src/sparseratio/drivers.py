@@ -1,20 +1,24 @@
 """Outer solver loops for l1/l2-ratio sparse recovery.
 
-Two drivers share the same subproblem shape, min ||x||_1 + alpha/2 ||x-c||^2
-over a simple set:
+Both drivers run one outer loop, ``_prox_loop``. At x_t it forms the prox
+center c_t = (1 + omega_t / (alpha ||x_t||)) x_t, omega_t = ||x_t||_1/||x_t||,
+which completes the square of the ratio with -||x|| linearized (c_t = x_t
+for plain ||x||_1), and takes x_{t+1} = argmin ||x||_1 + alpha/2 ||x - c_t||^2
+over a simple set. Each driver supplies only that step:
 
 * ``run_algorithm1`` handles the noiseless problem min ||x||_1/||x|| subject
-  to Ax = b by linearizing the concave -||x|| term and solving an
-  affine-constrained prox each iteration.
+  to Ax = b; its set is the affine set itself.
 * ``run_mba`` handles the noisy problem min ||x||_1/||x|| (or plain ||x||_1)
-  subject to q(x) <= 0 by replacing the constraint with a quadratic majorant
-  whose level set is a Euclidean ball (a moving-balls step), with the
-  curvature seeded by a safeguarded Barzilai-Borwein estimate. A trial
-  point that is not feasible raises the curvature by the power of two that
-  covers the secant curvature it measured, and the ball is rebuilt until a
-  trial is feasible.
+  subject to q(x) <= 0; its set is the level set of a quadratic majorant of
+  q at x_t, a Euclidean ball (a moving-balls step), with the curvature
+  seeded by a safeguarded Barzilai-Borwein estimate. A trial point that is
+  not feasible raises the curvature by the power of two that covers the
+  secant curvature it measured, and the ball is rebuilt until a trial is
+  feasible.
 
-Both stop when ||x_t - x_{t-1}|| <= tol * max(||x_t||, 1).
+A run is converged once ||x_{t+1} - x_t|| <= tol * max(||x_{t+1}||, 1). It
+ends as max_iters after max_outer_iters steps, and as subsolver_failure when
+a step's prox raises SubsolverError.
 
 A ratio run of ``run_mba`` closes with ``criticality_residual``: the
 distance of its final iterate to the KKT system 0 in subdiff(||x||_1/||x||)
@@ -250,13 +254,53 @@ def feasible_start(model: ConstraintModel,
     return x
 
 
+def _prox_loop(x: np.ndarray, ratio_objective: bool, cfg: SolverConfig,
+               step, q0: float | None = None) -> RunResult:
+    """The outer loop of both drivers (see the module docstring), from x != 0.
+
+    step(x_t, c_t, trace) returns x_{t+1} and q(x_{t+1}), or None for q where
+    the set has no q (q0 is then None too, and q_vals stay empty); it may
+    append its own per-step entries to trace. criticality_residual is None.
+    """
+    nx = float(np.linalg.norm(x))
+    omega = _ratio(x, nx)
+    obj_val = omega if ratio_objective else float(np.abs(x).sum())
+    trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
+    trace.record(x, omega, obj_val, nx, q0)
+
+    status = STATUS_MAX_ITERS
+    iterations = 0
+    for t in range(cfg.max_outer_iters):
+        t_start = time.perf_counter()
+        c = (1.0 + omega / (cfg.alpha * nx)) * x if ratio_objective else x
+        try:
+            x_new, q = step(x, c, trace)
+        except SubsolverError:
+            status = STATUS_SUBSOLVER_FAILURE
+            break
+        step_norm = float(np.linalg.norm(x_new - x))
+        x = x_new
+        nx = float(np.linalg.norm(x))
+        omega = _ratio(x, nx)
+        obj_val = omega if ratio_objective else float(np.abs(x).sum())
+        iterations = t + 1
+        trace.record(x, omega, obj_val, nx, q)
+        trace.step_norm.append(step_norm)
+        trace.wall_time.append(time.perf_counter() - t_start)
+        if step_norm <= cfg.tol * max(nx, 1.0):
+            status = STATUS_CONVERGED
+            break
+
+    return RunResult(x_final=x, status=status, iterations=iterations,
+                     final_objective=obj_val, criticality_residual=None,
+                     trace=trace)
+
+
 def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     """Ratio minimization over the affine set {x : Ax = b}, b != 0.
 
-    Iterates x_{t+1} = argmin ||x||_1 + alpha/2 ||x - c_t||^2 over Ax = b
-    with c_t = (1 + omega_t / (alpha ||x_t||)) x_t, which is the completed
-    square of the linearized ratio objective. omega is nonincreasing along
-    the run.
+    Each step is the ratio prox of the module docstring over Ax = b, solved
+    by prox_l1_affine. omega is nonincreasing along the run.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -267,42 +311,11 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     if float(np.linalg.norm(A.entries @ x - b)) > 1e-8 * max(1.0, float(np.linalg.norm(b))):
         raise InfeasibleStartError("x0 does not satisfy Ax = b to 1e-8")
 
-    alpha = cfg.alpha
-    nx = float(np.linalg.norm(x))
-    omega = _ratio(x, nx)
-    trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
-    trace.record(x, omega, omega, nx)
+    def step(x, c, trace):
+        return prox_l1_affine(c, A, b, cfg.alpha, cfg.sub_tol,
+                              cfg.sub_max_iter), None
 
-    status = STATUS_MAX_ITERS
-    iterations = 0
-    for t in range(cfg.max_outer_iters):
-        t_start = time.perf_counter()
-        c = (1.0 + omega / (alpha * nx)) * x
-        try:
-            x_new = prox_l1_affine(c, A, b, alpha, cfg.sub_tol, cfg.sub_max_iter)
-        except SubsolverError:
-            status = STATUS_SUBSOLVER_FAILURE
-            break
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        nx = float(np.linalg.norm(x))
-        omega = _ratio(x, nx)
-        iterations = t + 1
-        trace.record(x, omega, omega, nx)
-        trace.step_norm.append(step)
-        trace.wall_time.append(time.perf_counter() - t_start)
-        if step <= cfg.tol * max(nx, 1.0):
-            status = STATUS_CONVERGED
-            break
-
-    return RunResult(
-        x_final=x,
-        status=status,
-        iterations=iterations,
-        final_objective=omega,
-        criticality_residual=None,
-        trace=trace,
-    )
+    return _prox_loop(x, True, cfg, step)
 
 
 def run_mba(model: ConstraintModel, objective: str, x0,
@@ -326,13 +339,18 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     floating point too because l_s is taken no larger than P1's own bound
     2 c ||A d||^2/||d||^2 (models._p1_curvature), which A d = res_new - res
     resolves even when the q values differ only by round-off.
-    Every accepted iterate satisfies q <= feas_tol.
+    Every accepted iterate satisfies q <= feas_tol. The origin must be
+    infeasible by more than feas_tol, so no accepted iterate is 0.
     """
     if objective not in (OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1):
         raise ValueError(f"unknown objective {objective!r}")
     x = _as_vector(x0, model.A.n, "x0").copy()
-    if not np.any(x):
-        raise InfeasibleStartError("x0 must be nonzero")
+    q_origin = _q_of_residual(model, -model.b)
+    if not q_origin > cfg.feas_tol:
+        raise InfeasibleStartError(
+            f"the origin is feasible up to feas_tol: q(0) = {q_origin:.3e} "
+            f"<= feas_tol = {cfg.feas_tol:.3e}, so an iterate could reach x = 0"
+        )
     A = model.A.entries
     res = A @ x - model.b
     qx = _q_of_residual(model, res)
@@ -341,108 +359,64 @@ def run_mba(model: ConstraintModel, objective: str, x0,
             f"x0 is infeasible: q(x0) = {qx:.3e} > feas_tol = {cfg.feas_tol:.3e}"
         )
 
-    alpha = cfg.alpha
-    ratio_objective = objective == OBJECTIVE_RATIO
     # doublings (summed jump exponents) certified to restore feasibility
     # before l can sweep the whole [l_min, 2*l_max] range
     doubling_cap = math.ceil(math.log2(cfg.l_max * 2.0 / cfg.l_min))
     curvature = _p1_curvature(model)
+    x_prev = xi_prev = None
+    l = 1.0
 
-    nx = float(np.linalg.norm(x))
-    omega = _ratio(x, nx)
-    obj_val = omega if ratio_objective else float(np.abs(x).sum())
-
-    trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
-    trace.record(x, omega, obj_val, nx, qx)
-
-    x_prev = None
-    xi_prev = None
-    status = STATUS_MAX_ITERS
-    iterations = 0
-
-    for t in range(cfg.max_outer_iters):
-        t_start = time.perf_counter()
+    def step(x, c, trace):
+        nonlocal res, qx, x_prev, xi_prev, l
         xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
         # the previous accepted curvature seeds the Barzilai-Borwein fallback
-        l = 1.0 if x_prev is None else _bb_seed(
-            x - x_prev, xi - xi_prev, l, cfg.l_min, cfg.l_max)
-
-        if ratio_objective:
-            c = (1.0 + omega / (alpha * nx)) * x
-        else:
-            c = x
-
+        if x_prev is not None:
+            l = _bb_seed(x - x_prev, xi - xi_prev, l, cfg.l_min, cfg.l_max)
         xi_sq = float(xi @ xi)
         doublings = 0
-        try:
-            while True:
-                s = x - xi / l
-                # q(x) can sit in (0, feas_tol], pushing the exact radius a
-                # hair below zero; the ball is then the single point s
-                R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
-                sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=alpha),
-                                   cfg.sub_tol)
-                res_new = A @ sol.x - model.b
-                q_new = _q_of_residual(model, res_new)
-                if q_new <= cfg.feas_tol:
-                    break
-                # jump to the smallest l 2^i >= l_s = 2 gap/||d||^2, i >= 1
-                # (see the docstring); gap is capped by P1's bound because
-                # for a tiny d the q values differ only by round-off
-                d = sol.x - x
-                e = res_new - res
-                gap = min(q_new - qx - float(xi @ d), curvature * float(e @ e))
-                denom = l * float(d @ d)
-                growth = 2.0 * gap / denom if denom > 0.0 else math.nan
-                i = 1
-                if 1.0 < growth < math.inf:
-                    # growth = mantissa 2^exponent with mantissa in [1/2, 1)
-                    mantissa, exponent = math.frexp(growth)
-                    i = exponent - 1 if mantissa == 0.5 else exponent
-                doublings += i
-                if doublings > doubling_cap:
-                    raise InnerLoopError(
-                        f"feasibility not restored after {doublings} curvature "
-                        f"doublings (q = {q_new:.3e}); the model's gradient "
-                        "and value are likely inconsistent"
-                    )
-                l *= 2.0 ** i
-        except SubsolverError:
-            status = STATUS_SUBSOLVER_FAILURE
-            break
-
-        x_prev = x
-        xi_prev = xi
-        x = sol.x
-        res = res_new
-        qx = q_new
-        step = float(np.linalg.norm(x - x_prev))
-        nx = float(np.linalg.norm(x))
-        omega = _ratio(x, nx)
-        obj_val = omega if ratio_objective else float(np.abs(x).sum())
-        iterations = t + 1
-
-        trace.record(x, omega, obj_val, nx, qx)
-        trace.step_norm.append(step)
+        while True:
+            s = x - xi / l
+            # q(x) can sit in (0, feas_tol], pushing the exact radius a
+            # hair below zero; the ball is then the single point s
+            R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
+            sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=cfg.alpha),
+                               cfg.sub_tol)
+            res_new = A @ sol.x - model.b
+            q_new = _q_of_residual(model, res_new)
+            if q_new <= cfg.feas_tol:
+                break
+            # jump to the smallest l 2^i >= l_s = 2 gap/||d||^2, i >= 1
+            # (see the docstring); gap is capped by P1's bound because
+            # for a tiny d the q values differ only by round-off
+            d = sol.x - x
+            e = res_new - res
+            gap = min(q_new - qx - float(xi @ d), curvature * float(e @ e))
+            denom = l * float(d @ d)
+            growth = 2.0 * gap / denom if denom > 0.0 else math.nan
+            i = 1
+            if 1.0 < growth < math.inf:
+                # growth = mantissa 2^exponent with mantissa in [1/2, 1)
+                mantissa, exponent = math.frexp(growth)
+                i = exponent - 1 if mantissa == 0.5 else exponent
+            doublings += i
+            if doublings > doubling_cap:
+                raise InnerLoopError(
+                    f"feasibility not restored after {doublings} curvature "
+                    f"doublings (q = {q_new:.3e}); the model's gradient "
+                    "and value are likely inconsistent"
+                )
+            l *= 2.0 ** i
+        x_prev, xi_prev, res, qx = x, xi, res_new, q_new
         trace.l_accepted.append(l)
         trace.inner_doublings.append(doublings)
-        trace.wall_time.append(time.perf_counter() - t_start)
+        return sol.x, q_new
 
-        if step <= cfg.tol * max(nx, 1.0):
-            status = STATUS_CONVERGED
-            break
-
-    crit = None
+    ratio_objective = objective == OBJECTIVE_RATIO
+    result = _prox_loop(x, ratio_objective, cfg, step, qx)
     if ratio_objective:
-        crit = criticality_residual(model, x, cfg.feas_tol)
-    return RunResult(
-        x_final=x,
-        status=status,
-        iterations=iterations,
-        final_objective=obj_val,
-        criticality_residual=crit,
-        trace=trace,
-    )
+        result.criticality_residual = criticality_residual(
+            model, result.x_final, cfg.feas_tol)
+    return result
 
 
 def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]:

@@ -258,10 +258,12 @@ class _ModelBase:
         self.sigma = sigma
 
     def _require_origin_infeasible(self):
-        if q_value(self, np.zeros(self.A.n)) <= 0:
+        q0 = q_value(self, np.zeros(self.A.n))
+        if not q0 > 0:  # a NaN q(0) fails too
             raise ValueError(
-                "the origin must be strictly infeasible: the noise budget "
-                "sigma is too large for this b"
+                f"the origin must be strictly infeasible, got q(0) = {q0!r}: "
+                "the noise budget sigma is too large for this b, or b and "
+                "sigma overflow q"
             )
 
 

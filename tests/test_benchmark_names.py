@@ -12,6 +12,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sparseratio
 from sparseratio.cli import PipelineResult, run_pipeline
 from sparseratio.drivers import (
@@ -58,6 +60,25 @@ def test_ball_prox_layer_counts():
     assert calls > 40
     assert tracer.evals[None, "subsolvers.prox_l1_ball"] == calls
     assert totals["subsolvers.BallProxProblem"]["calls"] == calls
+
+
+def test_affine_prox_layer_counts():
+    # the affine twin of the test above: run_algorithm1 reaches its prox
+    # through the name the tracer swaps, once per outer iteration
+    tracer_module = load_perfbench("tracer")
+    rng = np.random.default_rng(6)
+    A = sparseratio.SensingMatrix(rng.standard_normal((8, 30)))
+    x_orig = np.zeros(30)
+    x_orig[[3, 11, 20]] = [2.0, -1.0, 0.5]
+    b = A.entries @ x_orig
+    x0 = sparseratio.subsolvers.least_norm_solution(A, b)
+    with tracer_module.Tracer(sparseratio) as tracer:
+        res = sparseratio.drivers.run_algorithm1(A, b, x0,
+                                                 SolverConfig(tol=1e-10))
+    totals = tracer_module.layer_totals(tracer.spans)
+    assert res.iterations > 1
+    assert totals["subsolvers.prox_l1_affine"]["calls"] == res.iterations
+    assert tracer.calls["drivers.prox_l1_affine"] == res.iterations
 
 
 def test_fields_the_benchmark_reads():

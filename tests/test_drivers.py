@@ -214,6 +214,23 @@ class TestRunAlgorithm1:
         assert np.array_equal(r1.x_final, r2.x_final)
         assert r1.trace.omega == r2.trace.omega
 
+    def test_trace_shape(self):
+        # the affine step has no curvature and no q: those lists stay empty
+        rng = np.random.default_rng(6)
+        sm = SensingMatrix(rng.standard_normal((8, 30)))
+        b = rng.standard_normal(8)
+        res = run_algorithm1(sm, b, least_norm_solution(sm, b),
+                             SolverConfig(tol=1e-10, record_iterates=True))
+        tr = res.trace
+        assert res.iterations > 1
+        assert tr.l_accepted == tr.inner_doublings == tr.q_vals == []
+        assert len(tr.step_norm) == len(tr.wall_time) == res.iterations
+        assert (len(tr.omega) == len(tr.objective) == len(tr.x_norm)
+                == len(tr.iterates) == res.iterations + 1)
+        assert tr.objective == tr.omega
+        assert res.final_objective == tr.omega[-1]
+        assert res.criticality_residual is None
+
 
 class TestRunMBA:
     def test_disk_instance_reaches_one_sparse_limit(self):
@@ -297,6 +314,18 @@ class TestRunMBA:
             run_mba(model, OBJECTIVE_RATIO, [5.0, 5.0], SolverConfig())
         with pytest.raises(InfeasibleStartError):
             run_mba(model, OBJECTIVE_RATIO, [0.0, 0.0], SolverConfig())
+
+    def test_origin_feasible_up_to_feas_tol_rejected(self):
+        # q(0) = 1e-12 > 0 builds the model, but an iterate with q <= feas_tol
+        # could then be x = 0, where omega = 0/0
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((3, 6))
+        b = rng.standard_normal(3)
+        model = LeastSquares(A, b, sigma=np.sqrt(b @ b - 1e-12))
+        assert 0 < q_value(model, np.zeros(6)) <= 1e-10
+        with pytest.raises(InfeasibleStartError, match="q\\(0\\)"):
+            run_mba(model, OBJECTIVE_PLAIN_L1, feasible_start(model),
+                    SolverConfig(max_outer_iters=2000))
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):

@@ -475,6 +475,20 @@ class TestConstruction:
             model = random_model(kind, seed=41)
             assert q_value(model, np.zeros(model.A.n)) > 0
 
+    @pytest.mark.parametrize("build", [
+        lambda A, b: LeastSquares(A, b, sigma=1e160),
+        lambda A, b: RobustCS(A, b, sigma=1e160, r=1),
+    ], ids=["least_squares", "robust_cs"])
+    def test_origin_with_nan_q_rejected(self, build):
+        # ||b||^2 and sigma^2 both overflow, so q(0) = inf - inf = nan,
+        # which a test q(0) <= 0 lets through
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((4, 10))
+        b = rng.standard_normal(4) * 1e160
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="q\\(0\\) = nan"):
+                build(A, b)
+
     def test_rank_deficient_matrix_rejected(self):
         A = np.ones((2, 5))
         with pytest.raises(ValueError):
