@@ -53,6 +53,7 @@ from .models import (
 from .subsolvers import (
     BallProxProblem,
     SubsolverError,
+    _dual_step,
     least_norm_solution,
     prox_l1_affine,
     prox_l1_ball,
@@ -299,8 +300,9 @@ def _prox_loop(x: np.ndarray, ratio_objective: bool, cfg: SolverConfig,
 def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     """Ratio minimization over the affine set {x : Ax = b}, b != 0.
 
-    Each step is the ratio prox of the module docstring over Ax = b, solved
-    by prox_l1_affine. omega is nonincreasing along the run.
+    x0 must satisfy ||A x0 - b|| <= 1e-8 ||b||. Each step is the ratio prox
+    of the module docstring over Ax = b, solved by prox_l1_affine. omega is
+    nonincreasing along the run.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -308,8 +310,8 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
     if not np.any(b):
         raise ValueError("b must be nonzero (otherwise x = 0 is optimal)")
     x = _as_vector(x0, A.n, "x0").copy()
-    if float(np.linalg.norm(A.entries @ x - b)) > 1e-8 * max(1.0, float(np.linalg.norm(b))):
-        raise InfeasibleStartError("x0 does not satisfy Ax = b to 1e-8")
+    if _full_norm(A.entries @ x - b) > 1e-8 * _full_norm(b):
+        raise InfeasibleStartError("x0 does not satisfy Ax = b to 1e-8 ||b||")
 
     def step(x, c, trace):
         return prox_l1_affine(c, A, b, cfg.alpha, cfg.sub_tol,
@@ -426,33 +428,19 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]
     sign(x_i) - ||u||_1 u_i (x_i != 0, u = x/||x||) and intervals [-1, 1]
     (x_i = 0); with mu = ||x|| lambda and t = -g the squared residual is
     f(mu)/||x||^2, f(mu) = sum_i dist(mu t_i, [lo_i, hi_i])^2 + (mu q)^2.
-    Half of f' is h(mu) = sum_i t_i^2 (min(mu - a_i, 0) + max(mu - b_i, 0))
-    + mu q^2, with [a_i, b_i] the mu-interval that puts mu t_i inside
-    [lo_i, hi_i]: nondecreasing and piecewise linear, h = S mu - C on each
-    segment. One sort of the a_i, b_i and a cumulative sweep of S and C find
-    the segment where h turns nonnegative, and mu* = C/S on it.
+    The (mu q)^2 term is one more coordinate, t = q with the interval
+    [0, 0]. With m_i and r_i the midpoint and half-width of each interval
+    (both exact here), dist(y, [lo_i, hi_i]) = |soft(y - m_i, r_i)|, so
+    half of f' is sum_i t_i soft(mu t_i - m_i, r_i), nondecreasing and
+    piecewise linear; subsolvers._dual_step finds its root mu* >= 0 exactly.
     """
     nx = _full_norm(x)
     u = x / nx
     lo, hi = np.where(x != 0.0, np.sign(x) - float(np.abs(u).sum()) * u,
                       [[-1.0], [1.0]])
     t = -g
-    moving = t * t > 0.0
-    w = t[moving] ** 2
-    a, b = np.sort(np.stack([lo[moving], hi[moving]]) / t[moving], axis=0)
-    # crossing a_i ends the below-interval term, crossing b_i starts the
-    # above-interval one; S[j], C[j] hold on the segment left of bp[j]
-    bp = np.concatenate([a, b])
-    order = np.argsort(bp)
-    bp = np.append(bp[order], np.inf)
-    S = np.cumsum(np.concatenate([[q * q + w.sum()], np.concatenate([-w, w])[order]]))
-    C = np.cumsum(np.concatenate([[w @ a], np.concatenate([-w * a, w * b])[order]]))
-    k = int(np.searchsorted(bp, 0.0, side="right"))
-    mu = 0.0
-    if C[k] > 0.0:  # h(0) = -C[k] < 0
-        j = k + int(np.argmax(S[k:] * bp[k:] - C[k:] >= 0.0))
-        low = 0.0 if j == k else bp[j - 1]
-        mu = min(max(C[j] / S[j], low), bp[j]) if S[j] > 0.0 else low
+    mu = _dual_step(-np.append((lo + hi) / 2.0, 0.0), np.append(t, q),
+                    np.append((hi - lo) / 2.0, 0.0), 0.0)
     d = mu * t - np.clip(mu * t, lo, hi)
     return math.sqrt(float(d @ d) + (mu * q) ** 2) / nx, mu / nx
 

@@ -9,7 +9,8 @@ active; if so, the root is located by one sort of the breakpoints below a
 closed-form bound on it and a cumulative-sum sweep. Either way the point is
 evaluated once. The affine case is solved by semismooth Newton on its dual,
 with the exact step along each direction found by one sort of its
-breakpoints and a bisection over them, and stops on a duality-gap
+breakpoints and a bisection over them (``_dual_step``, which also solves
+the criticality multiplier of ``drivers``), and stops on a duality-gap
 certificate for an exactly feasible point.
 """
 
@@ -300,20 +301,24 @@ def _objective(x, c, alpha) -> float:
 
 
 def _dual_step(v, w, tau, k) -> float:
-    """The step t >= 0 that maximizes the dual along a Newton direction.
+    """The root t >= 0 of g(t) = sum_i w_i soft(v_i + t w_i, tau_i) - k.
 
-    Up to the factor -alpha, the dual's derivative along the direction is
-    g(t) = w . soft_threshold(v + t w, tau) - k: continuous, nondecreasing
-    and piecewise linear in t. Coordinate i is nonzero exactly when
-    |v_i + t w_i| > tau, so the pieces change only at the breakpoints
-    t = (+-tau - v_i)/w_i, and on each piece g(t) = t S - C, with S summing
-    w_i^2 and C = k - sum w_i (v_i - sigma_i tau) over the nonzero
-    coordinates (sigma_i their signs). One sort of the positive breakpoints
-    and a bisection over them find the piece where g turns nonnegative, and
-    the maximizer is C/S on it. Each probe evaluates g directly: cumulative
-    sums of the changes to S and C across the breakpoints cancel when a
-    coordinate with a huge w_i turns zero and nonzero again, and can then
-    pick the wrong piece.
+    tau is a scalar or one threshold per coordinate. g is continuous,
+    nondecreasing and piecewise linear in t; t = 0 is returned where
+    g(0) >= 0. prox_l1_affine calls it with a scalar tau: up to the factor
+    -alpha, g is the dual's derivative along a Newton direction, and t the
+    step that maximizes the dual. drivers._kkt_residual calls it with a
+    per-coordinate tau: there g is half the derivative of the squared KKT
+    residual in the scaled multiplier. Coordinate i is nonzero exactly when
+    |v_i + t w_i| > tau_i, so the pieces change only at the breakpoints
+    t = (+-tau_i - v_i)/w_i, and on each piece g(t) = t S - C, with S
+    summing w_i^2 and C = k - sum w_i (v_i - sigma_i tau_i) over the
+    nonzero coordinates (sigma_i their signs). One sort of the positive
+    breakpoints and a bisection over them find the piece where g turns
+    nonnegative, and the root is C/S on it. Each probe evaluates g
+    directly: cumulative sums of the changes to S and C across the
+    breakpoints cancel when a coordinate with a huge w_i turns zero and
+    nonzero again, and can then pick the wrong piece.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bps = ((np.array([[tau], [-tau]]) - v) / w).ravel()

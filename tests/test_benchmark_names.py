@@ -17,6 +17,7 @@ import numpy as np
 import sparseratio
 from sparseratio.cli import PipelineResult, run_pipeline
 from sparseratio.drivers import (
+    OBJECTIVE_PLAIN_L1,
     OBJECTIVE_RATIO,
     IterateTrace,
     SolverConfig,
@@ -79,6 +80,24 @@ def test_affine_prox_layer_counts():
     assert res.iterations > 1
     assert totals["subsolvers.prox_l1_affine"]["calls"] == res.iterations
     assert tracer.calls["drivers.prox_l1_affine"] == res.iterations
+
+
+def test_criticality_layer_counts():
+    # a ratio run_mba closes with one criticality check through the name the
+    # tracer swaps; a plain_l1 run has no certificate and makes none
+    tracer_module = load_perfbench("tracer")
+    inst = generate(GenSpec(family="cauchy", n=128, m=48, k=6, seed=3))
+    x0 = feasible_start(inst.model)
+    for objective, expected in [(OBJECTIVE_RATIO, 1), (OBJECTIVE_PLAIN_L1, 0)]:
+        with tracer_module.Tracer(sparseratio) as tracer:
+            res = sparseratio.drivers.run_mba(inst.model, objective, x0,
+                                              SolverConfig(max_outer_iters=40))
+        totals = tracer_module.layer_totals(tracer.spans)
+        assert totals["subsolvers.prox_l1_ball"]["calls"] > 0
+        assert totals.get("drivers.criticality_residual",
+                          {"calls": 0})["calls"] == expected
+        assert tracer.calls["drivers.criticality_residual"] == expected
+        assert (res.criticality_residual is None) == (expected == 0)
 
 
 def test_fields_the_benchmark_reads():

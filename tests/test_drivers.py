@@ -153,6 +153,22 @@ class TestRunAlgorithm1:
         with pytest.raises(InfeasibleStartError):
             run_algorithm1([[1.0, 1.0]], [2.0], [0.0, 0.0], SolverConfig())
 
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_start_check_is_relative_to_b(self, k):
+        # the noiseless 180x640 recipe with b scaled by 2^k: a start 1e-4
+        # off the affine set (the least-norm point for b (1 + 1e-4)) is
+        # rejected at every scale, not only where ||b|| >= 1
+        rng = np.random.default_rng(np.random.SeedSequence([3, 7]))
+        A = rng.standard_normal((180, 640))
+        A /= np.linalg.norm(A, axis=0)
+        x_orig = np.zeros(640)
+        x_orig[rng.permutation(640)[:20]] = rng.standard_normal(20)
+        b = (A @ x_orig) * 2.0**k
+        sm = SensingMatrix(A)
+        x0 = least_norm_solution(sm, b * (1.0 + 1e-4))
+        with pytest.raises(InfeasibleStartError):
+            run_algorithm1(sm, b, x0, SolverConfig(tol=1e-6))
+
     def test_zero_rhs_rejected(self):
         with pytest.raises(ValueError):
             run_algorithm1([[1.0, 1.0]], [0.0], [0.0, 0.0], SolverConfig())
@@ -627,6 +643,15 @@ class TestExactKKTSolve:
         assert lam > 0.0
         assert res_c == pytest.approx(res / scale, rel=1e-12, abs=0.0)
         assert lam_c == pytest.approx(lam / scale, rel=1e-12, abs=0.0)
+
+    def test_exactly_critical_point(self):
+        # x = e_1 puts 0 in the subdifferential at lambda = 0: its first
+        # coordinate is exactly 0 and every other one an interval around 0,
+        # so huge g_i and a q just below 0 must still give (0, 0)
+        res, lam = drivers_module._kkt_residual(
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([0.25, -1.6e6, -9e5, -3.7e5]), -2e-8)
+        assert (res, lam) == (0.0, 0.0)
 
     @pytest.mark.parametrize("s", [1e-155, 1e-160, 1e-170, 1e-300])
     def test_tiny_scale_public_call(self, s):

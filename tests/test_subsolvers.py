@@ -689,12 +689,19 @@ def dual_slope(v, w, tau, k, t):
 @st.composite
 def dual_lines(draw):
     """(v, w, tau, k) with ties at the thresholds, zero directions and
-    g(0) < 0; at least one w_i is nonzero, so g has a root."""
+    g(0) < 0; at least one w_i is nonzero, so g has a root. tau is a scalar
+    (the affine prox) or per coordinate with zeros among its entries (the
+    criticality residual's intervals and points)."""
     n = draw(st.integers(1, 16))
-    tau = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    v = draw(arrays(float, n, elements=st.one_of(
-        st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]).map(lambda a: a * tau),
-        st.floats(-5.0, 5.0))))
+    tau = draw(st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0]),
+        arrays(float, n, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0]))))
+    multiple = draw(arrays(float, n, elements=st.sampled_from(
+        [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])))
+    v = draw(arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    # ties at +-tau_i, and other v_i on multiples of tau_i
+    tied = draw(arrays(bool, n))
+    v = np.where(tied, multiple * tau, v)
     # |w_i| >= 1e-6 or 0 keeps every breakpoint far below the overflow
     # threshold of v + t w
     w = draw(arrays(float, n, elements=st.one_of(
