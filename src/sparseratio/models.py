@@ -17,6 +17,13 @@ zero is a trivial sparsest solution) and a full-row-rank sensing matrix.
 writes the Householder reflectors into the one copy it makes of A^T. It
 adopts a frozen float64 matrix that owns its data as its entries, so a
 run holds two matrix-sized arrays: the entries and the reflectors.
+
+The factorization calls dgeqrf and dorgqr through
+``numpy.linalg.lapack_lite``, numpy's wrapper of the LAPACK it ships with,
+so the module needs numpy only: importing scipy.linalg would load a second
+BLAS and cost about 27 MiB of resident memory. numpy types lapack_lite in
+its stubs but counts it as private, not public, API.
+
 All operations are pure functions of immutable inputs and safe to share
 across threads. The one cached value is ``SensingMatrix.q``, formed on
 first use: forming it twice gives the same bits, so a race between threads
@@ -31,7 +38,7 @@ import operator
 from typing import Union
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dormqr
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "SensingMatrix",
@@ -87,6 +94,19 @@ def _full_norm(v) -> float:
     return big * float(np.linalg.norm(v / big)) if big > 0.0 else 0.0
 
 
+def _at_optimal_workspace(routine, *args) -> None:
+    """Call a lapack_lite routine whose last arguments are (work, lwork,
+    info) at the workspace its lwork = -1 query returns; RuntimeError if
+    LAPACK reports a nonzero info."""
+    work = np.empty(1)
+    info = routine(*args, work, -1, 0)["info"]
+    if info == 0:
+        work = np.empty(int(work[0]))
+        info = routine(*args, work, work.size, 0)["info"]
+    if info != 0:
+        raise RuntimeError(f"{routine.__name__} failed with info = {info}")
+
+
 class SensingMatrix:
     """Dense m-by-n sensing matrix with a cached QR factorization of A^T.
 
@@ -96,9 +116,9 @@ class SensingMatrix:
     A^T that dgeqrf overwrites) holds the Householder vectors below its
     diagonal and R on and above it, ``tau`` their min(m, n) scalar
     factors, and ``r`` is R itself (m-by-m when m <= n). ``apply_q``
-    multiplies by Q through the reflectors. The explicit n-by-min(m, n) Q
-    with orthonormal columns is formed only when ``q`` is first read,
-    which only the affine prox does.
+    multiplies one vector by Q, applying the reflectors in numpy. The
+    explicit n-by-min(m, n) Q with orthonormal columns is formed by
+    dorgqr only when ``q`` is first read, which only the affine prox does.
 
     Entries and factors are frozen. A read-only float64 array that owns
     its data is adopted as ``entries`` without a copy. Any other input, a
@@ -124,22 +144,22 @@ class SensingMatrix:
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         self.m, self.n = entries.shape
-        # f2py copies entries.T once into column-major storage and dgeqrf
-        # overwrites that copy with the reflectors. The optimal (blocked)
-        # workspace, which np.linalg.qr also queries, gives its bits; the
-        # default one differs from them in the last bits.
-        lwork = int(dgeqrf_lwork(self.n, self.m)[0])
-        reflectors, tau, _, info = dgeqrf(entries.T, lwork=lwork)
-        if info != 0:
-            raise RuntimeError(f"dgeqrf failed with info = {info}")
-        r = np.triu(reflectors[:min(self.m, self.n)])
+        # a row-major copy of A is A^T in column-major storage: dgeqrf
+        # overwrites that one copy with the reflectors. The optimal
+        # (blocked) workspace, which np.linalg.qr also queries, gives its
+        # bits; the default one differs from them in the last bits.
+        at = np.array(entries, order="C")
+        tau = np.empty(min(self.m, self.n))
+        _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at, self.n,
+                              tau)
+        r = np.triu(at.T[:tau.size])
         diag = np.abs(np.diag(r))
         self._diag_min = float(diag.min())
         self._diag_max = float(diag.max())
-        for arr in (entries, reflectors, tau, r):
+        for arr in (entries, at, tau, r):
             arr.flags.writeable = False
         self.entries = entries
-        self.reflectors = reflectors
+        self.reflectors = at.T
         self.tau = tau
         self.r = r
         self._q = None
@@ -152,34 +172,36 @@ class SensingMatrix:
         np.linalg.qr's Q bit for bit; the minimal workspace differs from it
         in the last bits."""
         if self._q is None:
-            a = self.reflectors[:, :self.tau.size]
-            lwork = int(dorgqr(a, self.tau, lwork=-1)[1][0])
-            q, _, info = dorgqr(a, self.tau, lwork=lwork)
-            if info != 0:
-                raise RuntimeError(f"dorgqr failed with info = {info}")
+            k = self.tau.size
+            # the transposed copy of the first k reflectors is column-major
+            # n-by-k storage, which dorgqr overwrites with Q
+            qt = np.array(self.reflectors[:, :k].T, order="C")
+            _at_optimal_workspace(lapack_lite.dorgqr, self.n, k, k, qt, self.n,
+                                  self.tau)
             # row-major, so the affine prox's row selections stay contiguous
-            q = np.ascontiguousarray(q)
+            q = np.ascontiguousarray(qt.T)
             q.flags.writeable = False
             self._q = q
         return self._q
 
     def apply_q(self, y) -> np.ndarray:
-        """Q y for a vector y of length min(m, n), by LAPACK's dormqr on the
-        reflectors; the explicit Q is not formed.
+        """Q y for a vector y of length min(m, n); the explicit Q is not
+        formed.
 
-        dormqr runs at its optimal (blocked) workspace. The minimal
-        workspace selects its unblocked path, about 3x faster for one
-        vector at 730x2560, but about twice as far from the exact Q y.
+        Q = H_0 H_1 ... H_{k-1} with H_i = I - tau_i v_i v_i^T, where v_i is
+        1 at row i, column i of ``reflectors`` below it and 0 above, so the
+        k reflectors are applied last to first to y padded with zeros to
+        length n. Each touches only rows i and below.
         """
-        c = np.zeros((self.n, 1))
-        c[:self.tau.size, 0] = y
-        lwork = int(dormqr("L", "N", self.reflectors, self.tau, c,
-                           lwork=-1)[1][0])
-        out, _, info = dormqr("L", "N", self.reflectors, self.tau, c,
-                              lwork=lwork, overwrite_c=1)
-        if info != 0:
-            raise RuntimeError(f"dormqr failed with info = {info}")
-        return out[:, 0]
+        x = np.zeros(self.n)
+        x[:self.tau.size] = y
+        for i in range(self.tau.size - 1, -1, -1):
+            v = self.reflectors[i + 1:, i]
+            xi = x[i:]
+            step = self.tau[i] * (xi[0] + v @ xi[1:])
+            xi[0] -= step
+            xi[1:] -= step * v
+        return x
 
     @property
     def has_full_row_rank(self) -> bool:

@@ -11,7 +11,9 @@ evaluated once. The affine case is solved by semismooth Newton on its dual,
 with the exact step along each direction found by one sort of its
 breakpoints and a bisection over them (``_dual_step``, which also solves
 the criticality multiplier of ``drivers``), and stops on a duality-gap
-certificate for an exactly feasible point.
+certificate for an exactly feasible point. The affine case alone needs
+scipy (an LU factorization), and imports scipy.linalg on its first call;
+the ball prox and the least-norm start run on numpy only.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve, solve_triangular
-from scipy.linalg.lapack import dgetrf
 
 from .models import SensingMatrix, _full_norm
 
@@ -277,10 +277,12 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
 def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     """Minimum-Euclidean-norm solution of Ax = b.
 
-    Uses the cached QR of A^T: with A^T = QR, the solution is
-    Q (R^T)^{-1} b, and Q is applied by its Householder reflectors
-    (SensingMatrix.apply_q), so the explicit Q is never formed. The result
-    is orthogonal to ker A.
+    Uses the cached QR of A^T: with A^T = QR, the solution is Q y with
+    R^T y = b. y comes from forward substitution on the lower-triangular
+    R^T, and Q is applied by its Householder reflectors
+    (SensingMatrix.apply_q), so the explicit Q is never formed. Both run in
+    numpy, one row or one reflector at a time. The result is orthogonal to
+    ker A. A solution that overflows raises SubsolverError.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -289,7 +291,14 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    x = A.apply_q(solve_triangular(A.r, b, trans="T", lower=False))
+    r = A.r
+    y = np.empty(A.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row i of R^T is column i of R; its entries above the diagonal
+        # multiply the y_j already found
+        for i in range(A.m):
+            y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
+        x = A.apply_q(y)
     if not np.all(np.isfinite(x)):
         raise SubsolverError("triangular solve produced non-finite values")
     return x
@@ -319,24 +328,35 @@ def _dual_step(v, w, tau, k) -> float:
     directly: cumulative sums of the changes to S and C across the
     breakpoints cancel when a coordinate with a huge w_i turns zero and
     nonzero again, and can then pick the wrong piece.
+
+    A tiny w_i (a subnormal one, say) puts a breakpoint near the top of
+    the float range, where v + t w overflows on the coordinates with a
+    larger w_i. Each such coordinate reads +-inf with the sign of w_i, so
+    its term of g, and g itself, read +inf: g exceeds every float there,
+    and the probe is still decided right.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bps = ((np.array([[tau], [-tau]]) - v) / w).ravel()
     bps = np.sort(bps[(bps > 0.0) & (bps < np.inf)])
 
     lo_i, hi_i = 0, bps.size
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        u = v + bps[mid] * w
-        if float(w @ (np.sign(u) * np.maximum(np.abs(u) - tau, 0.0))) >= k:
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    lo = float(bps[lo_i - 1]) if lo_i > 0 else 0.0
-    hi = float(bps[lo_i]) if lo_i < bps.size else math.inf
-    # the nonzero set of the piece is read off a point inside it, so a tie
-    # |v_i| = tau at t = 0 needs no special case
-    u = v + (0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) * w
+    with np.errstate(over="ignore"):
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i) // 2
+            u = v + bps[mid] * w
+            if float(w @ (np.sign(u) * np.maximum(np.abs(u) - tau, 0.0))) >= k:
+                hi_i = mid
+            else:
+                lo_i = mid + 1
+        lo = float(bps[lo_i - 1]) if lo_i > 0 else 0.0
+        hi = float(bps[lo_i]) if lo_i < bps.size else math.inf
+        # the nonzero set of the piece is read off a point inside it, so a
+        # tie |v_i| = tau at t = 0 needs no special case; halving each end
+        # first keeps the midpoint finite, and a finite point past the last
+        # breakpoint keeps t w_i = 0 where w_i = 0
+        inner = (0.5 * lo + 0.5 * hi if hi < math.inf
+                 else min(2.0 * lo + 1.0, _FLOAT_MAX))
+        u = v + inner * w
     ww = np.where(np.abs(u) > tau, w, 0.0)
     S = float(ww @ w)
     C = k - float(ww @ (v - np.sign(u) * tau))
@@ -355,6 +375,8 @@ def _piece_correction(lu, Q_J, z, F, rho) -> np.ndarray:
     once one no longer halves the change: the contraction is slow (rho is
     large next to g, early in the solve) or round-off has been reached.
     """
+    from scipy.linalg import lu_solve  # imported on first use, as in the caller
+
     u = Q_J @ z
     change = math.inf
     while True:
@@ -421,6 +443,12 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
         raise ValueError(f"c must have length {A.n}, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("c must be finite")
+
+    # scipy.linalg is imported here, not with the module: only this solver
+    # needs it, and loading it adds a second BLAS and about 27 MiB of
+    # resident memory to every moving-balls run
+    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import dgetrf
 
     x_ln = least_norm_solution(A, b)
     Q = A.q

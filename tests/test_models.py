@@ -1,6 +1,12 @@
 """Constraint-model primitives: values, gradients, projections, feasibility."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sparseratio.models as models_module
 from sparseratio.cli import run_pipeline
 from sparseratio.drivers import SolverConfig
 from sparseratio.instances import GenSpec, generate
@@ -115,6 +122,44 @@ class TestSensingMatrix:
         assert model.A._q is None
         run_pipeline(model, "algorithm1", SolverConfig(max_outer_iters=1))
         assert model.A._q is not None
+
+    def test_moving_balls_pipelines_never_import_scipy_linalg(self):
+        # the test process has scipy loaded already, so a fresh interpreter
+        # checks that only the affine prox imports scipy.linalg
+        code = textwrap.dedent("""
+            import json, sys
+            from sparseratio.cli import run_pipeline
+            from sparseratio.drivers import SolverConfig
+            from sparseratio.instances import GenSpec, generate
+            specs = [GenSpec(family="cauchy", n=64, m=24, k=3, seed=0),
+                     GenSpec(family="robust_cs", n=64, p=24, k=3, iota=2,
+                             seed=0)]
+            seen = []
+            for spec in specs:
+                model = generate(spec).model
+                for pipeline in ("mba_ratio", "mba_l1", "two_stage"):
+                    run_pipeline(model, pipeline, SolverConfig())
+                    seen.append("scipy.linalg" in sys.modules)
+            run_pipeline(model, "algorithm1", SolverConfig(max_outer_iters=1))
+            seen.append("scipy.linalg" in sys.modules)
+            print(json.dumps(seen))
+        """)
+        src = str(Path(models_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120, env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [False] * 6 + [True]
+
+    @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
+                                       (6, 6), (9, 4), (1, 7)])
+    def test_apply_q_matches_explicit_q(self, shape):
+        sm = SensingMatrix(RNG.standard_normal(shape))
+        for _ in range(3):
+            y = RNG.standard_normal(sm.tau.size)
+            err = np.linalg.norm(sm.apply_q(y) - sm.q @ y)
+            assert err <= 1e-14 * np.linalg.norm(y)
 
     def test_full_row_rank_flag(self):
         assert SensingMatrix(RNG.standard_normal((3, 8))).has_full_row_rank
