@@ -49,7 +49,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -291,9 +290,14 @@ def run_bench_plan(plan: BenchPlan, jobs: int = 1,
     seeds = [seed for _ in plan.cells for seed in plan.seeds]
     worker = partial(_bench_worker, plan, keep_results)
     rows, results = [], []
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else contextlib.nullcontext()) as pool:
-        outputs = (map if pool is None else pool.map)(worker, cells, seeds)
+    if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    else:
+        pool = contextlib.nullcontext()
+    with pool:
+        outputs = (pool.map if jobs > 1 else map)(worker, cells, seeds)
         for row, pres in outputs:
             rows.append(row)
             results.append(pres)

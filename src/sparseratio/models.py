@@ -14,9 +14,11 @@ where P1 is smooth with Lipschitz gradient and P2 is convex and continuous:
 All constructors require q(0) > 0 (the origin must be infeasible, otherwise
 zero is a trivial sparsest solution) and a full-row-rank sensing matrix.
 ``SensingMatrix`` factors A^T with one call to LAPACK's dgeqrf, which
-writes the Householder reflectors into the one copy it makes of A^T. It
-adopts a frozen float64 matrix that owns its data as its entries, so a
-run holds two matrix-sized arrays: the entries and the reflectors.
+writes the Householder reflectors into the one copy it makes of A^T, with
+R in its upper triangle. It adopts a frozen float64 matrix that owns its
+data as its entries, so a run holds two matrix-sized arrays, the entries
+and the reflectors, and no copy of R: ``r`` is formed each time it is
+read, and nothing in the solvers reads it.
 
 The factorization calls dgeqrf and dorgqr through
 ``numpy.linalg.lapack_lite``, numpy's wrapper of the LAPACK it ships with,
@@ -114,11 +116,14 @@ class SensingMatrix:
     dgeqrf at its optimal workspace, as np.linalg.qr calls it, and kept in
     its compact form: ``reflectors`` (n-by-m, column-major, the copy of
     A^T that dgeqrf overwrites) holds the Householder vectors below its
-    diagonal and R on and above it, ``tau`` their min(m, n) scalar
-    factors, and ``r`` is R itself (m-by-m when m <= n). ``apply_q``
-    multiplies one vector by Q, applying the reflectors in numpy. The
-    explicit n-by-min(m, n) Q with orthonormal columns is formed by
-    dorgqr only when ``q`` is first read, which only the affine prox does.
+    diagonal and R on and above it, and ``tau`` their min(m, n) scalar
+    factors. Those two and the entries are all an instance holds: ``r``,
+    R itself (m-by-m when m <= n), is a fresh copy cut from the
+    reflectors on every read, and the rank test and the least-norm solve
+    read R in place. ``apply_q`` multiplies one vector by Q, applying the
+    reflectors in numpy. The explicit n-by-min(m, n) Q with orthonormal
+    columns is formed by dorgqr only when ``q`` is first read, which only
+    the affine prox does.
 
     Entries and factors are frozen. A read-only float64 array that owns
     its data is adopted as ``entries`` without a copy. Any other input, a
@@ -128,7 +133,7 @@ class SensingMatrix:
     view of it taken before it was frozen.
     """
 
-    __slots__ = ("entries", "m", "n", "reflectors", "tau", "r", "_q",
+    __slots__ = ("entries", "m", "n", "reflectors", "tau", "_q",
                  "_diag_min", "_diag_max")
 
     def __init__(self, entries):
@@ -152,17 +157,23 @@ class SensingMatrix:
         tau = np.empty(min(self.m, self.n))
         _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at, self.n,
                               tau)
-        r = np.triu(at.T[:tau.size])
-        diag = np.abs(np.diag(r))
+        diag = np.abs(np.diagonal(at.T))
         self._diag_min = float(diag.min())
         self._diag_max = float(diag.max())
-        for arr in (entries, at, tau, r):
+        for arr in (entries, at, tau):
             arr.flags.writeable = False
         self.entries = entries
         self.reflectors = at.T
         self.tau = tau
-        self.r = r
         self._q = None
+
+    @property
+    def r(self) -> np.ndarray:
+        """R of A^T = Q R (min(m, n)-by-m, upper triangular), a read-only
+        copy of the reflectors' upper triangle formed on every read."""
+        r = np.triu(self.reflectors[:self.tau.size])
+        r.flags.writeable = False
+        return r
 
     @property
     def q(self) -> np.ndarray:

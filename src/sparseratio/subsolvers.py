@@ -279,10 +279,17 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
 
     Uses the cached QR of A^T: with A^T = QR, the solution is Q y with
     R^T y = b. y comes from forward substitution on the lower-triangular
-    R^T, and Q is applied by its Householder reflectors
-    (SensingMatrix.apply_q), so the explicit Q is never formed. Both run in
-    numpy, one row or one reflector at a time. The result is orthogonal to
-    ker A. A solution that overflows raises SubsolverError.
+    R^T, reading each column of R where dgeqrf left it, in the reflectors'
+    upper triangle, and Q is applied by its Householder reflectors
+    (SensingMatrix.apply_q), so neither R nor the explicit Q is copied.
+    Both run in numpy, one row or one reflector at a time. The result is
+    orthogonal to ker A. A solution that overflows raises SubsolverError.
+
+    y lives in a stride-2 buffer. The columns of R are contiguous in the
+    column-major reflectors, so each dot pairs a contiguous and a strided
+    operand, as it does on a row-major copy of R, and x is bitwise the x
+    of forward substitution on such a copy; two contiguous operands take
+    another BLAS kernel and change the last bits.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
@@ -291,8 +298,8 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    r = A.r
-    y = np.empty(A.m)
+    r = A.reflectors
+    y = np.empty(2 * A.m)[::2]
     with np.errstate(over="ignore", invalid="ignore"):
         # row i of R^T is column i of R; its entries above the diagonal
         # multiply the y_j already found

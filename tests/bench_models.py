@@ -48,8 +48,8 @@ def robust_mid_run():
 @pytest.mark.parametrize("writeable", [False, True],
                          ids=["adopted", "copied"])
 def test_sensing_matrix_factorization(benchmark, robust_mid_run, writeable):
-    # the finiteness check, dgeqrf on its one copy of A^T, and R; a
-    # writeable A is copied first. The explicit Q is not formed
+    # the finiteness check and dgeqrf on its one copy of A^T; a writeable
+    # A is copied first. Neither R nor the explicit Q is formed
     model, _ = robust_mid_run
     entries = model.A.entries.copy() if writeable else model.A.entries
     sm = benchmark(SensingMatrix, entries)

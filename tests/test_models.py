@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import sparseratio.models as models_module
 from sparseratio.cli import run_pipeline
-from sparseratio.drivers import SolverConfig
+from sparseratio.drivers import SolverConfig, feasible_start
 from sparseratio.instances import GenSpec, generate
 from sparseratio.models import (
     LeastSquares,
@@ -35,6 +35,7 @@ from sparseratio.models import (
     q_value,
     subgrad_p2,
 )
+from sparseratio.subsolvers import least_norm_solution
 
 from oracles import central_diff_gradient, power_iteration_opnorm
 
@@ -56,6 +57,18 @@ def traced_peak(fn, *args) -> int:
         if started:
             tracemalloc.stop()
     return peak
+
+
+def in_fresh_interpreter(code: str):
+    """Run code in a new Python process that imports sparseratio from this
+    checkout; return the JSON it prints."""
+    src = str(Path(models_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def random_model(kind, m=6, n=15, seed=0):
@@ -144,13 +157,27 @@ class TestSensingMatrix:
             seen.append("scipy.linalg" in sys.modules)
             print(json.dumps(seen))
         """)
-        src = str(Path(models_module.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=120, env=env)
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == [False] * 6 + [True]
+        assert in_fresh_interpreter(code) == [False] * 6 + [True]
+
+    def test_moving_balls_pipelines_never_import_the_process_pool(self):
+        # only bench --jobs above 1 needs ProcessPoolExecutor; a fresh
+        # interpreter checks that neither it nor multiprocessing loads
+        # with the package or during a moving-balls run
+        code = textwrap.dedent("""
+            import json, sys
+            import sparseratio
+            from sparseratio.cli import run_pipeline
+            from sparseratio.drivers import SolverConfig
+            from sparseratio.instances import GenSpec, generate
+            model = generate(GenSpec(family="cauchy", n=64, m=24, k=3,
+                                     seed=0)).model
+            for pipeline in ("mba_ratio", "mba_l1", "two_stage"):
+                run_pipeline(model, pipeline, SolverConfig())
+            print(json.dumps([name for name in ("concurrent.futures.process",
+                                                "multiprocessing")
+                              if name in sys.modules]))
+        """)
+        assert in_fresh_interpreter(code) == []
 
     @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
                                        (6, 6), (9, 4), (1, 7)])
@@ -203,19 +230,32 @@ class TestSensingMatrix:
         np.testing.assert_array_equal(sm.entries, A)
 
     def test_factoring_a_frozen_matrix_allocates_one_matrix(self):
-        # the reflectors, plus R and small temporaries; copying A as well,
-        # or factoring through np.linalg.qr, reads 2.3
+        # the reflectors and small temporaries read 1.01; an m-by-m copy of
+        # R adds 0.29, copying A as well, or factoring through np.linalg.qr,
+        # reads 2.3
         A = RNG.standard_normal((730, 2560))
         A.flags.writeable = False
-        assert traced_peak(SensingMatrix, A) <= 1.5 * A.nbytes
+        assert traced_peak(SensingMatrix, A) <= 1.1 * A.nbytes
 
     def test_generating_holds_two_matrices(self):
         # acceptance plan 1's robust_cs cell: A and the reflectors, plus
-        # the normalization's temporary while A is drawn; a copy of A in
-        # the generator or in SensingMatrix reads 3.3
+        # the normalization's temporary while A is drawn, read 2.02; an
+        # m-by-m copy of R adds 0.29, a copy of A in the generator or in
+        # SensingMatrix reads 3.3
         spec = GenSpec(family="robust_cs", n=2560, p=720, k=80, iota=10,
                        seed=0)
-        assert traced_peak(generate, spec) <= 2.5 * 730 * 2560 * 8
+        assert traced_peak(generate, spec) <= 2.1 * 730 * 2560 * 8
+
+    @pytest.mark.parametrize("start", [
+        lambda model: least_norm_solution(model.A, model.b),
+        feasible_start,
+    ], ids=["least_norm_solution", "feasible_start"])
+    def test_least_norm_start_allocates_no_matrix(self, start):
+        # on the same cell the start reads R and the reflectors in place:
+        # vectors only, 0.004 of A; an m-by-m copy of R reads 0.29
+        model = generate(GenSpec(family="robust_cs", n=2560, p=720, k=80,
+                                 iota=10, seed=0)).model
+        assert traced_peak(start, model) <= 0.05 * model.A.entries.nbytes
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

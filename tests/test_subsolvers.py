@@ -504,6 +504,21 @@ class TestLeastNormSolution:
         with pytest.raises(SubsolverError):
             least_norm_solution(SensingMatrix(np.ones((2, 5))), [1.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
+                                       (6, 6), (1, 7)])
+    def test_bitwise_equal_to_forward_substitution_on_a_copy_of_r(self, shape):
+        # the solve reads R in place from the column-major reflectors; with
+        # y strided, each dot takes the BLAS path of a row-major np.triu
+        # copy of R, so x keeps those bits (a unit-stride y changes them)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        sm = SensingMatrix(rng.standard_normal(shape))
+        b = rng.standard_normal(shape[0])
+        r = np.triu(sm.reflectors[:sm.tau.size])
+        y = np.empty(sm.m)
+        for i in range(sm.m):
+            y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
+        assert least_norm_solution(sm, b).tobytes() == sm.apply_q(y).tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(column_scaled_systems())
     def test_matches_pseudoinverse(self, system):
