@@ -49,14 +49,10 @@ from .drivers import (
 from .instances import (
     GenSpec,
     ProblemInstance,
-    gen_badly_scaled,
-    gen_cauchy,
-    gen_robust_cs,
     generate,
     load_instance,
     load_result,
     rec_err,
-    residual_metric,
     save_instance,
     save_result,
 )

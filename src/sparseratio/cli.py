@@ -11,7 +11,7 @@ Subcommands:
   per-run CSV and a per-cell aggregate CSV. ``--plan`` excludes the inline
   plan flags: ``--family`` and its parameters, ``--seeds``, ``--pipeline``,
   the solver options, ``--warm-tol`` and ``--config``. A plan is checked
-  whole, every (cell, seed) pair, before its first run.
+  whole, every (cell, seed) pair, before its first run; no cell may repeat.
 * ``check --instance F [--result F]`` re-verifies the invariants of stored
   artifacts; the instance's matrix, b, x_orig and model parameters must
   regenerate bitwise from its gen_spec.
@@ -85,7 +85,6 @@ from .instances import (
     load_instance,
     load_result,
     rec_err,
-    residual_metric,
     save_instance,
     save_result,
 )
@@ -150,7 +149,8 @@ class PipelineResult:
 @dataclass
 class BenchPlan:
     """A (cells x seeds) grid under one pipeline and config, checked whole
-    here: every (cell, seed) pair must make a valid GenSpec, so a malformed
+    here: every (cell, seed) pair must make a valid GenSpec and no cell may
+    repeat (the aggregates match rows to cells by value), so a malformed
     plan raises ValueError before its first run."""
 
     family: str
@@ -173,11 +173,13 @@ class BenchPlan:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         _check_warm_tol(self.pipeline, self.warm_tol)
         wanted = set(FAMILY_PARAMS[self.family])
-        for cell in self.cells:
+        for i, cell in enumerate(self.cells):
             if not isinstance(cell, dict) or set(cell) != wanted:
                 raise ValueError(
                     f"cell {cell!r} must have exactly the keys {sorted(wanted)}"
                 )
+            if cell in self.cells[:i]:
+                raise ValueError(f"cell {cell!r} appears more than once")
             for seed in self.seeds:
                 GenSpec(family=self.family, seed=seed, **cell)
         if self.warm_tol is not None:
@@ -268,7 +270,7 @@ def _bench_worker(plan: BenchPlan, keep_result: bool, cell: dict,
                if pres.warm_x is not None else math.nan)
     row.update(
         rec_err=rec_err(pres.x_final, inst.x_orig),
-        residual=residual_metric(inst.model, pres.x_final),
+        residual=q_value(inst.model, pres.x_final),
         iters=pres.iterations, status=pres.status,
         t_warm=pres.t_warm, t_main=pres.t_main, warm_rec_err=warm_re,
         warm_status=pres.warm_status)
@@ -455,7 +457,7 @@ def _print_instance_summary(inst: ProblemInstance, dest: str | None):
 
 def _cmd_gen(args) -> int:
     family = args.family.replace("-", "_")
-    # unset optional flags fall through to the GenSpec and generator defaults
+    # unset optional flags fall through to the GenSpec defaults
     params = {name: getattr(args, name)
               for name in (*FAMILY_PARAMS[family], "gamma", "sigma_factor")
               if getattr(args, name, None) is not None}
@@ -480,7 +482,7 @@ def _cmd_solve(args) -> int:
     pres = run_pipeline(inst.model, args.pipeline, cfg, args.warm_tol)
 
     re_final = rec_err(pres.x_final, inst.x_orig)
-    residual = residual_metric(inst.model, pres.x_final)
+    residual = q_value(inst.model, pres.x_final)
     crit = pres.criticality_residual
     print(f"pipeline={args.pipeline} status={pres.status} "
           f"iters={pres.iterations} rec_err={re_final:.6g} "
@@ -618,7 +620,7 @@ def _cmd_check(args) -> int:
                 math.isclose(re_calc, metrics["rec_err"],
                              rel_tol=1e-9, abs_tol=1e-12),
                 f"{re_calc!r} vs {metrics['rec_err']!r}")
-            res_calc = residual_metric(model, x_final)
+            res_calc = q_value(model, x_final)
             all_ok &= _check_line(
                 "stored residual matches x_final",
                 math.isclose(res_calc, metrics["residual"],

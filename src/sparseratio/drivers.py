@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .models import (
+    _FEAS_TOL,
     ConstraintModel,
     SensingMatrix,
     _as_number,
@@ -103,22 +104,16 @@ class InnerLoopError(RuntimeError):
 class SolverConfig:
     """Tunables shared by both drivers.
 
-    tol drives the relative-step termination rule. feas_tol is the absolute
+    alpha is the proximal weight of each step's l1 subproblem, and
+    [l_min, l_max] clips the Barzilai-Borwein curvature seed of run_mba.
+    tol drives the relative-step termination rule, which ends a run as
+    converged, and max_outer_iters caps its steps. feas_tol is the absolute
     slack allowed on q at accepted iterates (the subproblems are solved to
-    finite accuracy, so exact q <= 0 cannot be insisted on).
-
-    sub_tol and sub_max_iter go to the inner prox solvers. The ball prox is
-    solved in closed form and reads sub_tol as the allowed constraint error
-    of its point. The affine prox of run_algorithm1 is a dual Newton solve:
-    sub_tol is its relative duality-gap tolerance and sub_max_iter caps its
-    Newton iterations; at the cap it raises SubsolverError and the run ends
-    with status subsolver_failure. The most iterations one prox has needed
-    were 90 on noiseless 180x640 instances (100 of them) and 132 at
-    720x2560 (10), 63 on the noisy families at n = 512 and 1024, and 244 on
-    random problems whose column scales span 12 decades. The default cap of
-    500 leaves twice that and still ends a prox that cannot certify within
-    about a second at 180x640 (about 15 s at 720x2560), so a stall surfaces
-    as a status, not a hang.
+    finite accuracy, so exact q <= 0 cannot be insisted on). There is no
+    inner accuracy setting: the ball prox is exact and the affine prox
+    certifies its point to its own tolerance (see prox_l1_ball and
+    prox_l1_affine); a prox that fails ends the run with status
+    subsolver_failure.
 
     Every run returns an IterateTrace; record_iterates also keeps a copy of
     each iterate in it. Each field is checked here for its type (the numeric
@@ -131,9 +126,7 @@ class SolverConfig:
     l_max: float = 1e8
     tol: float = 1e-6
     max_outer_iters: int = 20_000
-    sub_tol: float = 1e-12
-    sub_max_iter: int = 500
-    feas_tol: float = 1e-10
+    feas_tol: float = _FEAS_TOL
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -153,10 +146,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-        if not self.sub_tol > 0:
-            raise ValueError("sub_tol must be positive")
-        if self.sub_max_iter < 1:
-            raise ValueError("sub_max_iter must be positive")
         if self.feas_tol < 0:
             raise ValueError("feas_tol must be nonnegative")
 
@@ -239,7 +228,7 @@ def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float, l_min: float,
 
 
 def feasible_start(model: ConstraintModel,
-                   feas_tol: float = 1e-10) -> np.ndarray:
+                   feas_tol: float = _FEAS_TOL) -> np.ndarray:
     """The least-norm solution of Ax = b, verified to satisfy q <= feas_tol.
 
     Its residual is zero up to round-off, so it lies inside the feasible set
@@ -314,8 +303,7 @@ def run_algorithm1(A: SensingMatrix, b, x0, cfg: SolverConfig) -> RunResult:
         raise InfeasibleStartError("x0 does not satisfy Ax = b to 1e-8 ||b||")
 
     def step(x, c, trace):
-        return prox_l1_affine(c, A, b, cfg.alpha, cfg.sub_tol,
-                              cfg.sub_max_iter), None
+        return prox_l1_affine(c, A, b, cfg.alpha), None
 
     return _prox_loop(x, True, cfg, step)
 
@@ -381,8 +369,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
             # q(x) can sit in (0, feas_tol], pushing the exact radius a
             # hair below zero; the ball is then the single point s
             R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
-            sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=cfg.alpha),
-                               cfg.sub_tol)
+            sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=cfg.alpha))
             res_new = A @ sol.x - model.b
             q_new = _q_of_residual(model, res_new)
             if q_new <= cfg.feas_tol:
@@ -446,7 +433,7 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, q: float) -> tuple[float, float]
 
 
 def criticality_residual(model: ConstraintModel, x,
-                         feas_tol: float = 1e-10) -> float:
+                         feas_tol: float = _FEAS_TOL) -> float:
     """Distance of x to the KKT system of min ||x||_1/||x|| s.t. q(x) <= 0.
 
     At a critical point 0 lies in subdiff(||x||_1/||x||) + lambda g for some

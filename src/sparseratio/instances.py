@@ -1,13 +1,14 @@
 """Seeded random problem families, recovery metrics, and JSON persistence.
 
-Three generators, one per constraint family:
+``generate(spec)`` builds the instance a GenSpec describes, with one
+private generator per constraint family:
 
-* ``gen_robust_cs``: Gaussian matrix with unit columns, sparse Gaussian
-  signal, a handful of gross outliers plus small Gaussian noise; solved
-  under the sparse-outlier (RobustCS) constraint.
-* ``gen_cauchy``: same matrix/signal recipe, Cauchy measurement noise via
-  the inverse-CDF transform; solved under the Lorentzian constraint.
-* ``gen_badly_scaled``: cosine rows with random frequencies (columns are
+* robust_cs: Gaussian matrix with unit columns, sparse Gaussian signal, a
+  handful of gross outliers plus small Gaussian noise; solved under the
+  sparse-outlier (RobustCS) constraint.
+* cauchy: same matrix/signal recipe, Cauchy measurement noise via the
+  inverse-CDF transform; solved under the Lorentzian constraint.
+* badly_scaled: cosine rows with random frequencies (columns are
   deliberately not normalized) and signal magnitudes spread over D decades;
   solved under the least-squares constraint.
 
@@ -38,18 +39,13 @@ from .models import (
     _as_number,
     _as_vector,
     lorentzian_norm,
-    q_value,
 )
 
 __all__ = [
     "GenSpec",
     "ProblemInstance",
-    "gen_robust_cs",
-    "gen_cauchy",
-    "gen_badly_scaled",
     "generate",
     "rec_err",
-    "residual_metric",
     "save_instance",
     "load_instance",
     "instance_to_dict",
@@ -93,10 +89,11 @@ class GenSpec:
     """Family name plus every parameter needed to regenerate an instance.
 
     Fields not used by a family stay None. sigma_factor scales the realized
-    noise magnitude into the constraint budget sigma. r, the robust_cs
-    outlier budget, follows from iota; if given it must be 2 * iota, the
-    value gen_robust_cs records, so no spec names an r that generate
-    ignores. Every numeric field is checked for its type and sign here, and
+    noise magnitude into the constraint budget sigma. Two fields are filled
+    in here when left out: gamma, the cauchy Lorentzian scale, is 0.02, and
+    r, the robust_cs outlier budget, follows from iota as 2 * iota; a given
+    r must be that value, so no spec names an r that generate ignores.
+    Every numeric field is checked for its type and sign here, and
     integral and real values are stored as int and float, so malformed
     parameters raise ValueError before any instance is drawn.
     """
@@ -139,6 +136,10 @@ class GenSpec:
                              f"got {self.r!r}")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
+        if self.family == FAMILY_CAUCHY and self.gamma is None:
+            object.__setattr__(self, "gamma", 0.02)
+        if self.family == FAMILY_ROBUST_CS:
+            object.__setattr__(self, "r", 2 * self.iota)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +165,17 @@ def _sparse_support(n: int, k: int, seed: int) -> np.ndarray:
     return _rng(seed, _STREAM_SUPPORT).permutation(n)[:k]
 
 
-def gen_robust_cs(n: int, p: int, k: int, iota: int, seed: int,
-                  sigma_factor: float = 1.2) -> ProblemInstance:
+def _gaussian_recipe(spec: GenSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m x n unit-column Gaussian matrix and k-sparse Gaussian signal
+    shared by the robust_cs and cauchy families."""
+    A = _unit_column_gaussian(m, spec.n, spec.seed)
+    support = _sparse_support(spec.n, spec.k, spec.seed)
+    x_orig = np.zeros(spec.n)
+    x_orig[support] = _rng(spec.seed, _STREAM_VALUES).standard_normal(spec.k)
+    return A, x_orig
+
+
+def _robust_cs(spec: GenSpec) -> ProblemInstance:
     """Sparse recovery with iota gross outliers among p + iota measurements.
 
     b = A x_orig - z + 0.01 eps, where z carries the outliers (magnitude 2,
@@ -173,15 +183,11 @@ def gen_robust_cs(n: int, p: int, k: int, iota: int, seed: int,
     normal. The outlier budget is r = 2 iota and sigma = sigma_factor *
     ||0.01 eps||.
     """
-    spec = GenSpec(family=FAMILY_ROBUST_CS, n=n, k=k, seed=seed, p=p,
-                   iota=iota, r=2 * iota, sigma_factor=sigma_factor)
+    p, iota = spec.p, spec.iota
     m = p + iota
-    A = _unit_column_gaussian(m, n, seed)
-    support = _sparse_support(n, k, seed)
-    x_orig = np.zeros(n)
-    x_orig[support] = _rng(seed, _STREAM_VALUES).standard_normal(k)
+    A, x_orig = _gaussian_recipe(spec, m)
 
-    rng_noise = _rng(seed, _STREAM_NOISE)
+    rng_noise = _rng(spec.seed, _STREAM_NOISE)
     z = np.zeros(m)
     if iota > 0:
         raw = rng_noise.standard_normal(iota)
@@ -189,25 +195,20 @@ def gen_robust_cs(n: int, p: int, k: int, iota: int, seed: int,
     eps = rng_noise.standard_normal(m)
     small = 0.01 * eps
     b = A @ x_orig - z + small
-    sigma = sigma_factor * float(np.linalg.norm(small))
-    model = RobustCS(SensingMatrix(A), b, sigma, 2 * iota)
+    sigma = spec.sigma_factor * float(np.linalg.norm(small))
+    model = RobustCS(SensingMatrix(A), b, sigma, spec.r)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"z": z, "epsilon": eps})
 
 
-def gen_cauchy(n: int, m: int, k: int, seed: int, gamma: float = 0.02,
-               sigma_factor: float = 1.2) -> ProblemInstance:
+def _cauchy(spec: GenSpec) -> ProblemInstance:
     """Sparse recovery under heavy-tailed noise: eps_i = tan(pi (u_i - 1/2))
     with u_i uniform on (0, 1), i.e. standard Cauchy. The budget is
     sigma_factor times the Lorentzian norm of the realized 0.01 eps."""
-    spec = GenSpec(family=FAMILY_CAUCHY, n=n, k=k, seed=seed, m=m,
-                   gamma=gamma, sigma_factor=sigma_factor)
-    A = _unit_column_gaussian(m, n, seed)
-    support = _sparse_support(n, k, seed)
-    x_orig = np.zeros(n)
-    x_orig[support] = _rng(seed, _STREAM_VALUES).standard_normal(k)
+    m = spec.m
+    A, x_orig = _gaussian_recipe(spec, m)
 
-    rng_noise = _rng(seed, _STREAM_NOISE)
+    rng_noise = _rng(spec.seed, _STREAM_NOISE)
     u = rng_noise.random(m)
     while True:
         bad = (u <= 0.0) | (u >= 1.0)
@@ -217,14 +218,13 @@ def gen_cauchy(n: int, m: int, k: int, seed: int, gamma: float = 0.02,
     eps = np.tan(np.pi * (u - 0.5))
     small = 0.01 * eps
     b = A @ x_orig + small
-    sigma = sigma_factor * lorentzian_norm(small, gamma)
-    model = Lorentzian(SensingMatrix(A), b, sigma, gamma)
+    sigma = spec.sigma_factor * lorentzian_norm(small, spec.gamma)
+    model = Lorentzian(SensingMatrix(A), b, sigma, spec.gamma)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"epsilon": eps})
 
 
-def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
-                     sigma_factor: float = 1.2) -> ProblemInstance:
+def _badly_scaled(spec: GenSpec) -> ProblemInstance:
     """Cosine rows, unnormalized columns, signal magnitudes across D decades.
 
     A_{ij} = cos(2 pi w_i j / F) / sqrt(m) with w uniform on [0, 1]^m and
@@ -232,15 +232,13 @@ def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
     matrix fails the rank check, a fresh frequency vector is drawn (up to
     10 attempts).
     """
-    spec = GenSpec(family=FAMILY_BADLY_SCALED, n=n, k=k, seed=seed, m=m,
-                   F=F, D=D, sigma_factor=sigma_factor)
-
+    n, m, k, seed = spec.n, spec.m, spec.k, spec.seed
     cols = np.arange(1, n + 1)
     A_mat = None
     w = None
     for attempt in range(_MAX_RANK_RETRIES):
         w = _rng(seed, _STREAM_MATRIX, attempt).random(m)
-        A_try = np.cos(2.0 * np.pi * np.outer(w, cols) / F) / np.sqrt(m)
+        A_try = np.cos(2.0 * np.pi * np.outer(w, cols) / spec.F) / np.sqrt(m)
         A_try.flags.writeable = False
         sm = SensingMatrix(A_try)
         if sm.has_full_row_rank:
@@ -254,33 +252,29 @@ def gen_badly_scaled(n: int, m: int, k: int, F: float, D: float, seed: int,
     support = _sparse_support(n, k, seed)
     rng_values = _rng(seed, _STREAM_VALUES)
     signs = np.where(rng_values.standard_normal(k) < 0, -1.0, 1.0)
-    mags = 10.0 ** (D * rng_values.random(k))
+    mags = 10.0 ** (spec.D * rng_values.random(k))
     x_orig = np.zeros(n)
     x_orig[support] = signs * mags
 
     eps = _rng(seed, _STREAM_NOISE).standard_normal(m)
     small = 0.01 * eps
     b = A_mat.entries @ x_orig + small
-    sigma = sigma_factor * float(np.linalg.norm(small))
+    sigma = spec.sigma_factor * float(np.linalg.norm(small))
     model = LeastSquares(A_mat, b, sigma)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"epsilon": eps, "w": w})
 
 
 _GENERATORS = {
-    FAMILY_ROBUST_CS: gen_robust_cs,
-    FAMILY_CAUCHY: gen_cauchy,
-    FAMILY_BADLY_SCALED: gen_badly_scaled,
+    FAMILY_ROBUST_CS: _robust_cs,
+    FAMILY_CAUCHY: _cauchy,
+    FAMILY_BADLY_SCALED: _badly_scaled,
 }
 
 
 def generate(spec: GenSpec) -> ProblemInstance:
-    """Regenerate the instance described by a GenSpec."""
-    params = {name: getattr(spec, name) for name in FAMILY_PARAMS[spec.family]}
-    if spec.gamma is not None:
-        params["gamma"] = spec.gamma
-    return _GENERATORS[spec.family](seed=spec.seed,
-                                    sigma_factor=spec.sigma_factor, **params)
+    """Build the instance a GenSpec describes; its gen_spec is spec itself."""
+    return _GENERATORS[spec.family](spec)
 
 
 def rec_err(x_out, x_orig) -> float:
@@ -291,11 +285,6 @@ def rec_err(x_out, x_orig) -> float:
         raise ValueError("x_out and x_orig must have the same shape")
     return float(np.linalg.norm(x_out - x_orig) /
                  max(1.0, float(np.linalg.norm(x_orig))))
-
-
-def residual_metric(model: ConstraintModel, x) -> float:
-    """Constraint residual of a recovered point; nonpositive means feasible."""
-    return q_value(model, x)
 
 
 # ---------------------------------------------------------------------------

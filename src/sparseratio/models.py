@@ -60,6 +60,9 @@ __all__ = [
 
 # relative threshold on the R diagonal of the thin QR of A^T
 _RANK_RTOL = 1e-10
+# default slack on q at a feasible point, read by is_feasible and by
+# drivers' SolverConfig.feas_tol, feasible_start and criticality_residual
+_FEAS_TOL = 1e-10
 
 
 def _as_vector(v, length: int | None, name: str) -> np.ndarray:
@@ -440,7 +443,7 @@ def subgrad_p2(model: ConstraintModel, x) -> np.ndarray:
     return _subgrad_p2_of_residual(model, _residual(model, x))
 
 
-def is_feasible(model: ConstraintModel, x, tol: float = 1e-10) -> bool:
+def is_feasible(model: ConstraintModel, x, tol: float = _FEAS_TOL) -> bool:
     """True iff q(x) <= tol. Boundary points (q = tol) count as feasible."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")

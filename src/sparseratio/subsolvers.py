@@ -436,6 +436,14 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     the Newton matrix exactly singular when Q_J has fewer than m rows; that
     happens only in the same below-round-off regime, and it raises
     SubsolverError as well.
+
+    The most Newton steps one prox has needed were 90 on noiseless 180x640
+    instances (100 of them) and 132 at 720x2560 (10), 63 on the noisy
+    families at n = 512 and 1024, and 244 on random problems whose column
+    scales span 12 decades. The default max_iter of 500 leaves twice that
+    and still ends a prox that cannot certify within about a second at
+    180x640 (about 15 s at 720x2560), so a stall surfaces as an error, not
+    a hang.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)

@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from sparseratio import cli
+from sparseratio import cli, drivers
 from sparseratio.cli import BenchPlan, main, run_bench_plan, run_pipeline
 from sparseratio.drivers import SolverConfig
+from sparseratio.subsolvers import SubsolverError
 from sparseratio.instances import (
     GenSpec,
     generate,
@@ -168,8 +169,7 @@ class TestSolve:
     def test_every_solver_flag_reaches_run_config(self, cauchy_instance,
                                                   tmp_path):
         values = {"alpha": 0.75, "l_min": 1e-7, "l_max": 1e7, "tol": 1e-5,
-                  "max_outer_iters": 300, "sub_tol": 1e-11,
-                  "sub_max_iter": 400, "feas_tol": 1e-11}
+                  "max_outer_iters": 300, "feas_tol": 1e-11}
         assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)
                                if f.type != "bool"}
         flags = [arg for name, value in values.items()
@@ -251,12 +251,16 @@ class TestBench:
         assert [(row["n"], row["seed"]) for row in seen] == [
             (n, seed) for n in (48, 40) for seed in (2, 0, 1)]
 
-    def test_cell_without_a_successful_run(self, tmp_path):
-        # one affine-prox Newton step cannot certify, so every run fails
+    def test_cell_without_a_successful_run(self, tmp_path, monkeypatch):
+        # every affine prox fails, so every run fails
+        def fail(*args, **kwargs):
+            raise SubsolverError("forced failure")
+
+        monkeypatch.setattr(drivers, "prox_l1_affine", fail)
         agg = tmp_path / "agg.csv"
         rc = main(["bench", "--family", "cauchy", "--n", "32", "--m", "12",
                    "--k", "3", "--seeds", "0:2", "--pipeline", "algorithm1",
-                   "--sub-max-iter", "1", "--quiet", "--out-agg", str(agg)])
+                   "--quiet", "--out-agg", str(agg)])
         assert rc == 1
         head, vals = read_rows(agg)
         at = dict(zip(head, vals))
@@ -310,10 +314,11 @@ class TestBench:
         {"config": {"feas_tol": math.nan}},
         {"config": {"alpha": True}},
         {"config": {"max_outer_iters": 1.5}},
-        {"config": {"sub_max_iter": 0}},
+        {"config": {"max_outer_iters": 0}},
         {"config": 5},
         {"config": [1]},
         {"config": {"record_trace": True}},
+        {"config": {"sub_tol": 1e-11}},
     ])
     def test_malformed_plan_cell_fails(self, bad, tmp_path, capsys):
         # bad replaces whole fields of an otherwise valid plan
@@ -363,6 +368,24 @@ class TestBench:
         assert "seed" not in captured.out
         assert not rows_path.exists()
 
+    def test_repeated_cell_is_rejected_before_any_run(self, tmp_path,
+                                                      capsys):
+        # the aggregates match rows to cells by value, so a repeated cell
+        # would count the rows of both copies twice
+        cell = {"n": 48, "m": 16, "k": 3}
+        with pytest.raises(ValueError, match="appears more than once"):
+            BenchPlan(family="cauchy", cells=[cell, dict(cell)], seeds=[0, 1],
+                      pipeline="mba_l1", config=SolverConfig())
+        plan_path = write_plan(tmp_path, seeds=[0, 1], cells=[
+            cell, {"n": 40, "m": 16, "k": 3}, cell])
+        rows_path = tmp_path / "rows.csv"
+        rc = main(["bench", "--plan", plan_path, "--out-rows", str(rows_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "appears more than once" in captured.err
+        assert "seed" not in captured.out
+        assert not rows_path.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--family", "robust-cs"],
         ["--n", "64"],
@@ -370,7 +393,7 @@ class TestBench:
         ["--seeds", "0:3"],
         ["--pipeline", "two_stage"],
         ["--tol", "1e-2"],
-        ["--sub-max-iter", "3"],
+        ["--max-outer-iters", "3"],
         ["--warm-tol", "1e-3"],
         ["--config", "cfg.json"],
     ])

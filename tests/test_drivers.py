@@ -1,5 +1,6 @@
 """Outer-loop drivers: step seeding, starts, both algorithms, criticality."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -173,13 +174,17 @@ class TestRunAlgorithm1:
         with pytest.raises(ValueError):
             run_algorithm1([[1.0, 1.0]], [0.0], [0.0, 0.0], SolverConfig())
 
-    def test_subsolver_exhaustion_reported_in_status(self):
+    def test_subsolver_exhaustion_reported_in_status(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise SubsolverError("affine prox dual Newton did not certify")
+
+        monkeypatch.setattr(drivers_module, "prox_l1_affine", exhausted)
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 12))
         sm = SensingMatrix(A)
         b = rng.standard_normal(4)
         x0 = least_norm_solution(sm, b)
-        res = run_algorithm1(sm, b, x0, SolverConfig(sub_max_iter=1))
+        res = run_algorithm1(sm, b, x0, SolverConfig())
         assert res.status == STATUS_SUBSOLVER_FAILURE
         assert res.iterations == 0
 
@@ -348,7 +353,7 @@ class TestRunMBA:
             run_mba(disk_model(), "sparsity", [1.0, 0.0], SolverConfig())
 
     def test_subsolver_failure_sets_status(self, monkeypatch):
-        def boom(problem, tol):
+        def boom(problem):
             raise SubsolverError("forced failure")
 
         monkeypatch.setattr(drivers_module, "prox_l1_ball", boom)
@@ -363,11 +368,11 @@ class TestRunMBA:
         x0 = feasible_start(model)
         calls = []
 
-        def third_call_fails(problem, tol):
+        def third_call_fails(problem):
             calls.append(problem)
             if len(calls) == 3:
                 raise SubsolverError("forced failure")
-            return prox_l1_ball(problem, tol)
+            return prox_l1_ball(problem)
 
         monkeypatch.setattr(drivers_module, "prox_l1_ball", third_call_fails)
         cfg = SolverConfig(record_iterates=True)
@@ -396,7 +401,7 @@ class TestRunMBA:
         sol = BallProxSolution(x=np.array([9.0, 9.0]), mu=0.0, active=False)
         calls = []
 
-        def never_feasible(problem, tol):
+        def never_feasible(problem):
             calls.append(problem)
             return sol
 
@@ -423,7 +428,7 @@ def one_scripted_step(monkeypatch, trials, cfg=None, model=None, x0=_X0):
     ``trials`` in turn, then x0 itself (feasible, so the step ends)."""
     points = iter([*trials, x0])
 
-    def scripted(problem, tol):
+    def scripted(problem):
         return BallProxSolution(x=np.array(next(points), dtype=float),
                                 mu=0.0, active=False)
 
@@ -702,12 +707,15 @@ def small_models(draw):
     return RobustCS(A, b, sigma=share * np.sqrt(dist_sq_sparse(b, r)), r=r)
 
 
+BALL_PROX_TOL = inspect.signature(prox_l1_ball).parameters["tol"].default
+
+
 def descent_allowance(model, objective, cfg, tr, t):
     """How far the objective may rise from iterate t to t + 1.
 
     The step minimizes the prox objective over the ball exactly for a
-    squared radius R' within sub_tol * max(R, 1) of R (the ball prox's
-    contract), so with x_t at distance dist from that ball (0 for q <= 0)
+    squared radius R' within tol * max(R, 1) of R (the ball prox's
+    contract at its default tol), so with x_t at distance dist from that ball (0 for q <= 0)
     the moving-balls descent argument gives ||x+||_1 <= ||x_t||_1
     + sqrt(n) dist + alpha/2 dist^2, and for the ratio the same bound with
     sqrt(n) doubled, divided by ||x+||. An iterate accepted with q in
@@ -722,7 +730,7 @@ def descent_allowance(model, objective, cfg, tr, t):
     R = max(a * a - 2.0 * q / l, 0.0)
     dist = 2.0 * max(q, 0.0) / l / (a + np.sqrt(R))
     if R > 0.0:
-        dist += cfg.sub_tol * max(R, 1.0) / np.sqrt(R)
+        dist += BALL_PROX_TOL * max(R, 1.0) / np.sqrt(R)
     rise = np.sqrt(n) * dist + cfg.alpha / 2.0 * dist * dist
     if objective == OBJECTIVE_RATIO:
         rise = (rise + np.sqrt(n) * dist) / tr.x_norm[t + 1]
