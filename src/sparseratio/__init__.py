@@ -40,7 +40,6 @@ from .drivers import (
     IterateTrace,
     RunResult,
     SolverConfig,
-    bb_init_step,
     criticality_residual,
     feasible_start,
     run_algorithm1,

@@ -11,7 +11,8 @@ Subcommands:
   per-run CSV and a per-cell aggregate CSV. ``--plan`` excludes the inline
   plan flags: ``--family`` and its parameters, ``--seeds``, ``--pipeline``,
   the solver options, ``--warm-tol`` and ``--config``. A plan is checked
-  whole, every (cell, seed) pair, before its first run; no cell may repeat.
+  whole, every (cell, seed) pair, before its first run; no cell or seed
+  may repeat.
 * ``check --instance F [--result F]`` re-verifies the invariants of stored
   artifacts; the instance's matrix, b, x_orig and model parameters must
   regenerate bitwise from its gen_spec.
@@ -149,9 +150,10 @@ class PipelineResult:
 @dataclass
 class BenchPlan:
     """A (cells x seeds) grid under one pipeline and config, checked whole
-    here: every (cell, seed) pair must make a valid GenSpec and no cell may
-    repeat (the aggregates match rows to cells by value), so a malformed
-    plan raises ValueError before its first run."""
+    here: every (cell, seed) pair must make a valid GenSpec and no cell or
+    seed may repeat (the aggregates match rows to cells by value, and a
+    repeated seed would weight its instance twice), so a malformed plan
+    raises ValueError before its first run."""
 
     family: str
     cells: list[dict]
@@ -182,6 +184,9 @@ class BenchPlan:
                 raise ValueError(f"cell {cell!r} appears more than once")
             for seed in self.seeds:
                 GenSpec(family=self.family, seed=seed, **cell)
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed!r} appears more than once")
         if self.warm_tol is not None:
             self.warm_tol = _as_number(self.warm_tol, False, "warm_tol")
             if not self.warm_tol > 0:

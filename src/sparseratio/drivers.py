@@ -68,7 +68,6 @@ __all__ = [
     "InnerLoopError",
     "OBJECTIVE_RATIO",
     "OBJECTIVE_PLAIN_L1",
-    "bb_init_step",
     "feasible_start",
     "run_algorithm1",
     "run_mba",
@@ -110,10 +109,10 @@ class SolverConfig:
     converged, and max_outer_iters caps its steps. feas_tol is the absolute
     slack allowed on q at accepted iterates (the subproblems are solved to
     finite accuracy, so exact q <= 0 cannot be insisted on). There is no
-    inner accuracy setting: the ball prox is exact and the affine prox
-    certifies its point to its own tolerance (see prox_l1_ball and
-    prox_l1_affine); a prox that fails ends the run with status
-    subsolver_failure.
+    inner accuracy setting, here or on the proxes: the ball prox is exact
+    and the affine prox certifies its point, each to a fixed tolerance of
+    its module (see prox_l1_ball and prox_l1_affine); a prox that fails
+    ends the run with status subsolver_failure.
 
     Every run returns an IterateTrace; record_iterates also keeps a copy of
     each iterate in it. Each field is checked here for its type (the numeric
@@ -202,25 +201,16 @@ def _ratio(x: np.ndarray, nx: float) -> float:
     return float(np.abs(x).sum() / nx)
 
 
-def bb_init_step(d_x, d_g, l_prev: float, l_min: float, l_max: float) -> float:
+def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float, l_min: float,
+             l_max: float) -> float:
     """Safeguarded Barzilai-Borwein curvature seed.
 
     Returns clip(<d_x, d_g> / ||d_x||^2) when the inner product clears a
     small positive threshold, otherwise clip(l_prev / 2); clip is to
-    [l_min, l_max]. l_prev may exceed l_max (the accepted curvature can
-    outgrow the clip range); the result is always inside it.
+    [l_min, l_max], whose bounds SolverConfig has checked. l_prev may
+    exceed l_max (the accepted curvature can outgrow the clip range); the
+    result is always inside it.
     """
-    if not (0 < l_min < l_max):
-        raise ValueError("need 0 < l_min < l_max")
-    if not l_prev > 0:
-        raise ValueError("l_prev must be positive")
-    return _bb_seed(np.asarray(d_x, dtype=float), np.asarray(d_g, dtype=float),
-                    l_prev, l_min, l_max)
-
-
-def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float, l_min: float,
-             l_max: float) -> float:
-    """bb_init_step on float vectors and bounds already checked."""
     inner = float(d_x @ d_g)
     if inner >= _BB_INNER_THRESHOLD:
         return max(l_min, min(inner / float(d_x @ d_x), l_max))

@@ -95,7 +95,9 @@ class GenSpec:
     r must be that value, so no spec names an r that generate ignores.
     Every numeric field is checked for its type and sign here, and
     integral and real values are stored as int and float, so malformed
-    parameters raise ValueError before any instance is drawn.
+    parameters raise ValueError before any instance is drawn; so does a
+    spec whose matrix would have more rows (m, or p + iota on robust_cs)
+    than columns, which cannot have full row rank.
     """
 
     family: str
@@ -136,6 +138,11 @@ class GenSpec:
                              f"got {self.r!r}")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
+        rows = (self.p + self.iota if self.family == FAMILY_ROBUST_CS
+                else self.m)
+        if rows > self.n:
+            raise ValueError(f"the {rows} rows of A must not exceed n = "
+                             f"{self.n}")
         if self.family == FAMILY_CAUCHY and self.gamma is None:
             object.__setattr__(self, "gamma", 0.02)
         if self.family == FAMILY_ROBUST_CS:
@@ -228,9 +235,9 @@ def _badly_scaled(spec: GenSpec) -> ProblemInstance:
     """Cosine rows, unnormalized columns, signal magnitudes across D decades.
 
     A_{ij} = cos(2 pi w_i j / F) / sqrt(m) with w uniform on [0, 1]^m and
-    1-indexed j. Nonzero signal entries are sign * 10^(D * u). If the drawn
-    matrix fails the rank check, a fresh frequency vector is drawn (up to
-    10 attempts).
+    1-indexed j. Nonzero signal entries are sign * 10^(D * u). If
+    SensingMatrix rejects the drawn matrix as rank deficient, a fresh
+    frequency vector is drawn (up to 10 attempts).
     """
     n, m, k, seed = spec.n, spec.m, spec.k, spec.seed
     cols = np.arange(1, n + 1)
@@ -240,10 +247,11 @@ def _badly_scaled(spec: GenSpec) -> ProblemInstance:
         w = _rng(seed, _STREAM_MATRIX, attempt).random(m)
         A_try = np.cos(2.0 * np.pi * np.outer(w, cols) / spec.F) / np.sqrt(m)
         A_try.flags.writeable = False
-        sm = SensingMatrix(A_try)
-        if sm.has_full_row_rank:
-            A_mat = sm
+        try:
+            A_mat = SensingMatrix(A_try)
             break
+        except ValueError:
+            pass  # GenSpec keeps m <= n, so the rejection is on rank alone
     if A_mat is None:
         raise RuntimeError(
             f"could not draw a full-rank cosine matrix in {_MAX_RANK_RETRIES} attempts"

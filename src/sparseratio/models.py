@@ -12,13 +12,14 @@ where P1 is smooth with Lipschitz gradient and P2 is convex and continuous:
                      P2(x) = ||Ax - b||^2 - dist^2(Ax - b, S).
 
 All constructors require q(0) > 0 (the origin must be infeasible, otherwise
-zero is a trivial sparsest solution) and a full-row-rank sensing matrix.
-``SensingMatrix`` factors A^T with one call to LAPACK's dgeqrf, which
-writes the Householder reflectors into the one copy it makes of A^T, with
-R in its upper triangle. It adopts a frozen float64 matrix that owns its
-data as its entries, so a run holds two matrix-sized arrays, the entries
-and the reflectors, and no copy of R: ``r`` is formed each time it is
-read, and nothing in the solvers reads it.
+zero is a trivial sparsest solution). The sensing matrix has full row rank
+by construction: ``SensingMatrix`` is the one place that decides it, and
+raises ValueError on a matrix without it, so every model, prox and start
+point built on one may rely on it. ``SensingMatrix`` factors A^T with one
+call to LAPACK's dgeqrf, which writes the Householder reflectors into the
+one copy it makes of A^T, with R in its upper triangle. It adopts a frozen
+float64 matrix that owns its data as its entries, so a run holds two
+matrix-sized arrays, the entries and the reflectors, and no copy of R.
 
 The factorization calls dgeqrf and dorgqr through
 ``numpy.linalg.lapack_lite``, numpy's wrapper of the LAPACK it ships with,
@@ -113,20 +114,24 @@ def _at_optimal_workspace(routine, *args) -> None:
 
 
 class SensingMatrix:
-    """Dense m-by-n sensing matrix with a cached QR factorization of A^T.
+    """Dense m-by-n sensing matrix of full row rank, with a cached QR
+    factorization of A^T.
 
     A^T = Q R is factored once at construction by one call to LAPACK's
     dgeqrf at its optimal workspace, as np.linalg.qr calls it, and kept in
     its compact form: ``reflectors`` (n-by-m, column-major, the copy of
     A^T that dgeqrf overwrites) holds the Householder vectors below its
-    diagonal and R on and above it, and ``tau`` their min(m, n) scalar
-    factors. Those two and the entries are all an instance holds: ``r``,
-    R itself (m-by-m when m <= n), is a fresh copy cut from the
-    reflectors on every read, and the rank test and the least-norm solve
-    read R in place. ``apply_q`` multiplies one vector by Q, applying the
-    reflectors in numpy. The explicit n-by-min(m, n) Q with orthonormal
-    columns is formed by dorgqr only when ``q`` is first read, which only
-    the affine prox does.
+    diagonal and R (m-by-m, upper triangular) on and above it, and ``tau``
+    their m scalar factors. Those two and the entries are all an instance
+    holds; the least-norm solve reads R in place. ``apply_q`` multiplies
+    one vector by Q, applying the reflectors in numpy. The explicit n-by-m
+    Q with orthonormal columns is formed by dorgqr only when ``q`` is first
+    read, which only the affine prox does.
+
+    The matrix must have full row rank, and the constructor is the one
+    place that checks it: it raises ValueError when m > n, before
+    factoring, or when the smallest |R_ii| is not above _RANK_RTOL times
+    the largest.
 
     Entries and factors are frozen. A read-only float64 array that owns
     its data is adopted as ``entries`` without a copy. Any other input, a
@@ -136,8 +141,7 @@ class SensingMatrix:
     view of it taken before it was frozen.
     """
 
-    __slots__ = ("entries", "m", "n", "reflectors", "tau", "_q",
-                 "_diag_min", "_diag_max")
+    __slots__ = ("entries", "m", "n", "reflectors", "tau", "_q")
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
@@ -152,31 +156,25 @@ class SensingMatrix:
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")
         self.m, self.n = entries.shape
+        if self.m > self.n:
+            raise ValueError("sensing matrix must have full row rank")
         # a row-major copy of A is A^T in column-major storage: dgeqrf
         # overwrites that one copy with the reflectors. The optimal
         # (blocked) workspace, which np.linalg.qr also queries, gives its
         # bits; the default one differs from them in the last bits.
         at = np.array(entries, order="C")
-        tau = np.empty(min(self.m, self.n))
+        tau = np.empty(self.m)
         _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at, self.n,
                               tau)
         diag = np.abs(np.diagonal(at.T))
-        self._diag_min = float(diag.min())
-        self._diag_max = float(diag.max())
+        if not diag.min() > _RANK_RTOL * diag.max():
+            raise ValueError("sensing matrix must have full row rank")
         for arr in (entries, at, tau):
             arr.flags.writeable = False
         self.entries = entries
         self.reflectors = at.T
         self.tau = tau
         self._q = None
-
-    @property
-    def r(self) -> np.ndarray:
-        """R of A^T = Q R (min(m, n)-by-m, upper triangular), a read-only
-        copy of the reflectors' upper triangle formed on every read."""
-        r = np.triu(self.reflectors[:self.tau.size])
-        r.flags.writeable = False
-        return r
 
     @property
     def q(self) -> np.ndarray:
@@ -186,12 +184,11 @@ class SensingMatrix:
         np.linalg.qr's Q bit for bit; the minimal workspace differs from it
         in the last bits."""
         if self._q is None:
-            k = self.tau.size
-            # the transposed copy of the first k reflectors is column-major
-            # n-by-k storage, which dorgqr overwrites with Q
-            qt = np.array(self.reflectors[:, :k].T, order="C")
-            _at_optimal_workspace(lapack_lite.dorgqr, self.n, k, k, qt, self.n,
-                                  self.tau)
+            # the transposed copy of the reflectors is column-major n-by-m
+            # storage, which dorgqr overwrites with Q
+            qt = np.array(self.reflectors.T, order="C")
+            _at_optimal_workspace(lapack_lite.dorgqr, self.n, self.m, self.m,
+                                  qt, self.n, self.tau)
             # row-major, so the affine prox's row selections stay contiguous
             q = np.ascontiguousarray(qt.T)
             q.flags.writeable = False
@@ -199,28 +196,22 @@ class SensingMatrix:
         return self._q
 
     def apply_q(self, y) -> np.ndarray:
-        """Q y for a vector y of length min(m, n); the explicit Q is not
-        formed.
+        """Q y for a vector y of length m; the explicit Q is not formed.
 
-        Q = H_0 H_1 ... H_{k-1} with H_i = I - tau_i v_i v_i^T, where v_i is
+        Q = H_0 H_1 ... H_{m-1} with H_i = I - tau_i v_i v_i^T, where v_i is
         1 at row i, column i of ``reflectors`` below it and 0 above, so the
-        k reflectors are applied last to first to y padded with zeros to
+        m reflectors are applied last to first to y padded with zeros to
         length n. Each touches only rows i and below.
         """
         x = np.zeros(self.n)
-        x[:self.tau.size] = y
-        for i in range(self.tau.size - 1, -1, -1):
+        x[:self.m] = y
+        for i in range(self.m - 1, -1, -1):
             v = self.reflectors[i + 1:, i]
             xi = x[i:]
             step = self.tau[i] * (xi[0] + v @ xi[1:])
             xi[0] -= step
             xi[1:] -= step * v
         return x
-
-    @property
-    def has_full_row_rank(self) -> bool:
-        # the diagonal test certifies rank only when the factor is square
-        return self.m <= self.n and self._diag_min > _RANK_RTOL * self._diag_max
 
     def __repr__(self) -> str:
         return f"SensingMatrix(m={self.m}, n={self.n})"
@@ -281,8 +272,6 @@ class _ModelBase:
     def __init__(self, A, b, sigma: float):
         if not isinstance(A, SensingMatrix):
             A = SensingMatrix(A)
-        if not A.has_full_row_rank:
-            raise ValueError("sensing matrix must have full row rank")
         b = _as_vector(b, A.m, "b")
         sigma = float(sigma)
         if not sigma > 0:

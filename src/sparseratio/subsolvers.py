@@ -38,6 +38,19 @@ __all__ = [
 _FLOAT_MAX = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 
+# the ball prox's bound on the constraint error of its point, relative to
+# max(R, 1)
+_BALL_TOL = 1e-12
+# the affine prox's bound on its duality gap, relative to P(x_hat)
+_AFFINE_TOL = 1e-12
+# The most Newton steps one affine prox has needed were 90 on noiseless
+# 180x640 instances (100 of them) and 132 at 720x2560 (10), 63 on the noisy
+# families at n = 512 and 1024, and 244 on random problems whose column
+# scales span 12 decades. A cap of 500 leaves twice that and still ends a
+# prox that cannot certify within about a second at 180x640 (about 15 s at
+# 720x2560), so a stall surfaces as an error, not a hang.
+_AFFINE_MAX_ITER = 500
+
 
 class SubsolverError(RuntimeError):
     """A subproblem solver failed to reach its tolerance."""
@@ -221,7 +234,7 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     return min(max(root - alpha, lo), hi)
 
 
-def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
+def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
     """Solve a BallProxProblem exactly.
 
     The minimizer is x(mu) = soft_threshold((alpha c + mu s)/(alpha + mu),
@@ -237,16 +250,14 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
     mu = sqrt(N/(R - S)) - alpha in closed form. Either way x(mu) is
     evaluated once.
 
-    tol bounds the constraint error of the returned point:
-    | ||x - s||^2 - R | <= tol * max(R, 1). A point that misses it, or a
-    non-finite multiplier or point (the data overflow at the scale of R),
-    raises SubsolverError.
+    The constraint error of the returned point is bounded by
+    | ||x - s||^2 - R | <= _BALL_TOL * max(R, 1), _BALL_TOL = 1e-12. A
+    point that misses it, or a non-finite multiplier or point (the data
+    overflow at the scale of R), raises SubsolverError.
 
     A degenerate ball (R = 0) pins the solution at x = s; the multiplier is
     not meaningful there and is reported as 0.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     c, s, R, alpha = p.c, p.s, p.R, p.alpha
     if R == 0.0:
         return BallProxSolution(x=s.copy(), mu=0.0, active=True)
@@ -265,7 +276,7 @@ def prox_l1_ball(p: BallProxProblem, tol: float = 1e-12) -> BallProxSolution:
     phi = float(d @ d) - R
     if not math.isfinite(phi):
         raise SubsolverError(f"ball prox point overflowed at mu = {mu:.6e}")
-    tol_phi = tol * max(R, 1.0)
+    tol_phi = _BALL_TOL * max(R, 1.0)
     if not abs(phi) <= tol_phi:
         raise SubsolverError(
             f"ball prox missed the sphere: |phi| = {abs(phi):.3e} > "
@@ -283,7 +294,8 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     upper triangle, and Q is applied by its Householder reflectors
     (SensingMatrix.apply_q), so neither R nor the explicit Q is copied.
     Both run in numpy, one row or one reflector at a time. The result is
-    orthogonal to ker A. A solution that overflows raises SubsolverError.
+    orthogonal to ker A. A has full row rank (SensingMatrix checks it), so
+    R^T is nonsingular; a solution that overflows raises SubsolverError.
 
     y lives in a stride-2 buffer. The columns of R are contiguous in the
     column-major reflectors, so each dot pairs a contiguous and a strided
@@ -293,8 +305,6 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
-    if not A.has_full_row_rank:
-        raise SubsolverError("matrix is rank deficient; least-norm solve aborted")
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
@@ -395,8 +405,7 @@ def _piece_correction(lu, Q_J, z, F, rho) -> np.ndarray:
             return u
 
 
-def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
-                   tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
+def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     """min P(x) = ||x||_1 + alpha/2 ||x - c||^2  subject to  Ax = b.
 
     With A^T = QR and the explicit Q (SensingMatrix.q, formed once per
@@ -414,7 +423,7 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     Jacobian; J takes slope 1 there. A row whose v_i rounds exactly onto
     the threshold, common far below unit scale where c is a few ulps of
     1/alpha, then stays in the Newton matrix: without it the direction is
-    blind to that row and the iteration can stall until max_iter.
+    blind to that row and the iteration can stall until the step cap.
 
     The stop is a certificate built from the same factorization. x_hat is
     x(y) corrected on the rows J by the minimum-norm least-squares solution
@@ -425,8 +434,9 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     factored. x_hat is feasible, so the duality gap P(x_hat) - theta(y)
     bounds P(x_hat) - min P, and by alpha-strong convexity
     ||x_hat - x*||^2 <= 2 gap / alpha. x_hat is returned once
-    gap <= tol * P(x_hat), a bound relative to the problem's own scale;
-    SubsolverError is raised if max_iter steps pass first. x(y) carries
+    gap <= _AFFINE_TOL * P(x_hat), _AFFINE_TOL = 1e-12, a bound relative to
+    the problem's own scale; SubsolverError is raised if _AFFINE_MAX_ITER
+    (500) steps pass first (see that constant for why 500). x(y) carries
     round-off of about eps / alpha in absolute terms, so a problem whose
     solution lies far below that (b and c below about 1e-16 / alpha)
     cannot certify and ends in SubsolverError. ||F|| is taken as
@@ -436,23 +446,11 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     the Newton matrix exactly singular when Q_J has fewer than m rows; that
     happens only in the same below-round-off regime, and it raises
     SubsolverError as well.
-
-    The most Newton steps one prox has needed were 90 on noiseless 180x640
-    instances (100 of them) and 132 at 720x2560 (10), 63 on the noisy
-    families at n = 512 and 1024, and 244 on random problems whose column
-    scales span 12 decades. The default max_iter of 500 leaves twice that
-    and still ends a prox that cannot certify within about a second at
-    180x640 (about 15 s at 720x2560), so a stall surfaces as an error, not
-    a hang.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     c = np.asarray(c, dtype=float)
     if c.shape != (A.n,):
         raise ValueError(f"c must have length {A.n}, got shape {c.shape}")
@@ -470,7 +468,7 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
     qx_ln = Q.T @ x_ln
     tau = 1.0 / alpha
     y = np.zeros(A.m)
-    for _ in range(max_iter):
+    for _ in range(_AFFINE_MAX_ITER):
         v = c + (Q @ y) * tau
         x = soft_threshold(v, tau)
         F = Q.T @ x - qx_ln
@@ -493,10 +491,10 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float,
         x_hat = x_hat - Q @ (Q.T @ x_hat) + x_ln
         p_hat = _objective(x_hat, c, alpha)
         gap = p_hat - (_objective(x, c, alpha) - float(y @ F))
-        if gap <= tol * p_hat:
+        if gap <= _AFFINE_TOL * p_hat:
             return x_hat
         y = y + _dual_step(v, w, tau, float(w @ x_ln)) * d
     raise SubsolverError(
-        f"affine prox dual Newton did not certify in {max_iter} steps "
-        f"(duality gap {gap:.3e} > {tol * p_hat:.3e})"
+        f"affine prox dual Newton did not certify in {_AFFINE_MAX_ITER} "
+        f"steps (duality gap {gap:.3e} > {_AFFINE_TOL * p_hat:.3e})"
     )

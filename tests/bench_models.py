@@ -53,7 +53,8 @@ def test_sensing_matrix_factorization(benchmark, robust_mid_run, writeable):
     model, _ = robust_mid_run
     entries = model.A.entries.copy() if writeable else model.A.entries
     sm = benchmark(SensingMatrix, entries)
-    assert sm.r.tobytes() == model.A.r.tobytes() and sm._q is None
+    assert sm.reflectors.tobytes() == model.A.reflectors.tobytes()
+    assert sm._q is None
     assert (sm.entries is entries) != writeable
 
 

@@ -14,7 +14,7 @@ sign(s_i) alpha c_i < -1: each support coordinate turns inactive and then
 active again as mu grows, and with a radius of a hundredth of that distance
 the sweep crosses both breakpoints of most of them.
 
-Each affine case is the first prox of run_algorithm1 (alpha = 1, default
+Each affine case is the first prox of run_algorithm1 (alpha = 1, fixed
 tolerance and cap) from the least-norm start on a noiseless instance: a
 Gaussian A with unit columns, a k-sparse x_orig and b = A x_orig, drawn as
 perfbench's noiseless_algorithm1 draws its instance seed 3.

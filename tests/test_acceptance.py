@@ -40,6 +40,9 @@ from oracles import (
     projected_subgradient_affine,
 )
 
+# deselect with -m "not acceptance" for the fast tier
+pytestmark = pytest.mark.acceptance
+
 # the convergence-tail instance of criterion 7: flat sign-random spikes
 _C7_SCALE = 8.0
 _C7_SEED = 23

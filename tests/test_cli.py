@@ -193,6 +193,24 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+    def test_typed_run_error_exits_1_with_its_name(self, cauchy_instance,
+                                                   monkeypatch, tmp_path,
+                                                   capsys):
+        def fail(*args, **kwargs):
+            raise drivers.InfeasibleStartError("injected start failure")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        out = tmp_path / "result.json"
+        rc = main(["solve", "--instance", str(cauchy_instance),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "error: InfeasibleStartError: injected start failure\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBench:
     def run_inline(self, tmp_path, tag, extra=()):
         rows = tmp_path / f"rows_{tag}.csv"
@@ -386,6 +404,62 @@ class TestBench:
         assert "seed" not in captured.out
         assert not rows_path.exists()
 
+    def test_repeated_seed_is_rejected_before_any_run(self, tmp_path,
+                                                      capsys):
+        # a repeated seed would solve its instance again and weight it
+        # twice in every per-cell statistic
+        rows_path = tmp_path / "rows.csv"
+        rc = main(["bench", "--plan", write_plan(tmp_path, seeds=[0, 1, 0]),
+                   "--out-rows", str(rows_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "appears more than once" in captured.err
+        assert "seed" not in captured.out
+        assert not rows_path.exists()
+
+    def test_cell_with_more_rows_than_columns_is_rejected_before_any_run(
+            self, tmp_path, capsys):
+        # no matrix with more rows than columns has full row rank, so the
+        # whole-plan check rejects the second cell before the first runs
+        cells = [{"n": 48, "m": 16, "k": 3}, {"n": 8, "m": 12, "k": 2}]
+        rows_path = tmp_path / "rows.csv"
+        rc = main(["bench", "--plan", write_plan(tmp_path, cells=cells,
+                                                 seeds=[0, 1]),
+                   "--out-rows", str(rows_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "must not exceed n = 8" in captured.err
+        assert "seed" not in captured.out
+        assert not rows_path.exists()
+
+    @pytest.mark.parametrize("error, status", [
+        (drivers.InfeasibleStartError, "infeasible_start"),
+        (drivers.InnerLoopError, "inner_loop_failure"),
+        (SubsolverError, "subsolver_failure"),
+    ])
+    def test_run_that_raises_gets_a_typed_row(self, monkeypatch, error,
+                                              status):
+        # a typed error out of the pipeline is a row with its status and
+        # nan figures, not an aborted plan
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        plan = BenchPlan(family="cauchy", cells=[{"n": 48, "m": 16, "k": 3}],
+                         seeds=[0, 1], pipeline="mba_ratio",
+                         config=SolverConfig())
+        report = run_bench_plan(plan)
+        assert [row["seed"] for row in report.rows] == [0, 1]
+        for row in report.rows:
+            assert row["status"] == status
+            assert row["iters"] == 0 and row["warm_status"] is None
+            assert row["t_gen"] > 0.0
+            assert all(math.isnan(row[key]) for key in (
+                "rec_err", "residual", "t_warm", "t_main", "warm_rec_err"))
+        (agg,) = report.aggregates
+        assert agg["n_ok"] == 0 and agg["failures"] == 2
+        assert math.isnan(agg["rec_err_mean"])
+
     @pytest.mark.parametrize("flags", [
         ["--family", "robust-cs"],
         ["--n", "64"],
@@ -450,13 +524,14 @@ class TestBenchPlan:
         {"n": 48, "m": 16},
         {"n": 48, "m": 16, "k": 3, "gamma": 0.02},
         [48, 16, 3],
+        {"n": 8, "m": 12, "k": 2},
     ])
     def test_malformed_second_cell_raises_at_construction(self, cell):
         with pytest.raises(ValueError):
             self.plan(cells=[self.CELL, cell])
 
     @pytest.mark.parametrize("seeds", [[True], [0.9], 3, [-1], [0, "1"],
-                                       (0, 1), []])
+                                       (0, 1), [], [0, 1, 0]])
     def test_malformed_seeds_raise_at_construction(self, seeds):
         with pytest.raises(ValueError):
             self.plan(seeds=seeds)

@@ -1,6 +1,5 @@
 """Outer-loop drivers: step seeding, starts, both algorithms, criticality."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -14,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparseratio.drivers as drivers_module
+import sparseratio.subsolvers as subsolvers_module
 from sparseratio import (
     GenSpec,
     InfeasibleStartError,
@@ -29,7 +29,6 @@ from sparseratio import (
     STATUS_MAX_ITERS,
     STATUS_SUBSOLVER_FAILURE,
     SubsolverError,
-    bb_init_step,
     criticality_residual,
     dist_sq_sparse,
     feasible_start,
@@ -76,28 +75,44 @@ def kkt_objective(x, g, q, lam):
     return total
 
 
+def bb_seed(d_x, d_g, l_prev, l_min=1e-8, l_max=1e8):
+    return drivers_module._bb_seed(np.array(d_x), np.array(d_g), l_prev,
+                                   l_min, l_max)
+
+
 class TestBBInitStep:
     def test_quotient_branch(self):
-        assert bb_init_step([1.0], [2.0], 5.0, 1e-8, 1e8) == 2.0
+        assert bb_seed([1.0], [2.0], 5.0) == 2.0
 
     def test_halving_branch(self):
-        assert bb_init_step([1.0], [-1.0], 8.0, 1e-8, 1e8) == 4.0
+        assert bb_seed([1.0], [-1.0], 8.0) == 4.0
 
     def test_clipped_at_l_max(self):
-        assert bb_init_step([1.0], [1e20], 1.0, 1e-8, 1e8) == 1e8
+        assert bb_seed([1.0], [1e20], 1.0) == 1e8
 
     def test_threshold_boundary(self):
         # inner product below 1e-12 falls back to halving
-        assert bb_init_step([1.0], [5e-13], 6.0, 1e-8, 1e8) == 3.0
+        assert bb_seed([1.0], [5e-13], 6.0) == 3.0
 
     def test_halving_clipped_at_l_min(self):
-        assert bb_init_step([1.0], [-1.0], 1e-8, 1e-8, 1e8) == 1e-8
+        assert bb_seed([1.0], [-1.0], 1e-8) == 1e-8
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bb_init_step([1.0], [1.0], 0.0, 1e-8, 1e8)
-        with pytest.raises(ValueError):
-            bb_init_step([1.0], [1.0], 1.0, 1e8, 1e-8)
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha": 0.0}, "alpha must be positive"),
+        ({"l_min": 0.0}, "need 0 < l_min < l_max"),
+        ({"l_min": 2.0, "l_max": 1.0}, "need 0 < l_min < l_max"),
+        ({"l_min": 1e-300, "l_max": 1e300}, "must be finite"),
+        ({"tol": 0.0}, "^tol must be positive"),
+        ({"max_outer_iters": 0}, "max_outer_iters must be positive"),
+        ({"feas_tol": -1e-12}, "feas_tol must be nonnegative"),
+        ({"record_iterates": 1}, "record_iterates must be true or false"),
+    ], ids=["alpha", "l_min", "l_min_above_l_max", "l_ratio_overflows",
+            "tol", "max_outer_iters", "feas_tol", "record_iterates"])
+    def test_out_of_range_setting_raises(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**fields)
 
 
 class TestFeasibleStart:
@@ -112,6 +127,15 @@ class TestFeasibleStart:
         ):
             x = feasible_start(model)
             assert q_value(model, x) <= 0.0
+
+    def test_infeasible_least_norm_point_raises(self, monkeypatch):
+        # the least-norm point solves Ax = b up to round-off, so only a
+        # broken solve leaves it infeasible; the origin stands in for one
+        monkeypatch.setattr(drivers_module, "least_norm_solution",
+                            lambda A, b: np.zeros(A.n))
+        with pytest.raises(InfeasibleStartError,
+                           match="could not construct a feasible start"):
+            feasible_start(disk_model())
 
 
 class TestRunAlgorithm1:
@@ -707,7 +731,7 @@ def small_models(draw):
     return RobustCS(A, b, sigma=share * np.sqrt(dist_sq_sparse(b, r)), r=r)
 
 
-BALL_PROX_TOL = inspect.signature(prox_l1_ball).parameters["tol"].default
+BALL_PROX_TOL = subsolvers_module._BALL_TOL
 
 
 def descent_allowance(model, objective, cfg, tr, t):
@@ -715,7 +739,7 @@ def descent_allowance(model, objective, cfg, tr, t):
 
     The step minimizes the prox objective over the ball exactly for a
     squared radius R' within tol * max(R, 1) of R (the ball prox's
-    contract at its default tol), so with x_t at distance dist from that ball (0 for q <= 0)
+    contract at its fixed tol), so with x_t at distance dist from that ball (0 for q <= 0)
     the moving-balls descent argument gives ||x+||_1 <= ||x_t||_1
     + sqrt(n) dist + alpha/2 dist^2, and for the ratio the same bound with
     sqrt(n) doubled, divided by ||x+||. An iterate accepted with q in

@@ -290,6 +290,21 @@ class TestGenerateDispatch:
         assert inst.gen_spec.r == inst.model.r == 6
 
 
+    @pytest.mark.parametrize("family, params", [
+        ("robust_cs", {"p": 6, "iota": 3}),
+        ("cauchy", {"m": 9}),
+        ("badly_scaled", {"m": 9, "F": 5.0, "D": 1.0}),
+    ])
+    def test_gen_spec_rejects_more_rows_than_columns(self, family, params):
+        # A must have full row rank, which no matrix with more rows than
+        # columns has, so the spec fails before anything is drawn; a
+        # square A is allowed
+        with pytest.raises(ValueError,
+                           match="the 9 rows of A must not exceed n = 8"):
+            GenSpec(family=family, n=8, k=2, seed=0, **params)
+        assert GenSpec(family=family, n=9, k=2, seed=0, **params).n == 9
+
+
 class TestMetrics:
     def test_rec_err_cases(self):
         x = np.array([2.0, 0.0])

@@ -97,19 +97,21 @@ class TestSensingMatrix:
         A = RNG.standard_normal((4, 9))
         sm = SensingMatrix(A)
         assert sm.m == 4 and sm.n == 9
-        np.testing.assert_allclose(sm.q @ sm.r, A.T, atol=1e-12)
+        r = np.triu(sm.reflectors[:sm.m])
+        np.testing.assert_allclose(sm.q @ r, A.T, atol=1e-12)
         np.testing.assert_allclose(sm.q.T @ sm.q, np.eye(4), atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(4, 9), (64, 300), (6, 6), (9, 4),
-                                       (1, 1), (1, 7), (7, 1), (180, 640)])
+    @pytest.mark.parametrize("shape", [(4, 9), (64, 300), (6, 6), (8, 9),
+                                       (1, 1), (1, 7), (33, 34), (180, 640)])
     def test_factors_match_numpy_qr(self, shape):
-        # m < n, m = n and m > n: R is numpy's bitwise (dgeqrf at the same
-        # workspace), and Q, formed from the reflectors, agrees with numpy's
-        # explicit Q
+        # m < n and m = n: R, read from the reflectors' upper triangle, is
+        # numpy's bitwise (dgeqrf at the same workspace), and Q, formed from
+        # the reflectors, agrees with numpy's explicit Q
         A = RNG.standard_normal(shape)
         q_np, r_np = np.linalg.qr(A.T)
         sm = SensingMatrix(A)
-        assert sm.r.shape == r_np.shape and sm.r.tobytes() == r_np.tobytes()
+        r = np.triu(sm.reflectors[:sm.m])
+        assert r.shape == r_np.shape and r.tobytes() == r_np.tobytes()
         assert sm.q.shape == q_np.shape
         np.testing.assert_allclose(sm.q, q_np, rtol=0.0, atol=1e-14)
         # the compact factor too, bitwise; at 180 x 640 dgeqrf's default
@@ -122,7 +124,7 @@ class TestSensingMatrix:
     def test_factors_read_only_and_q_cached(self):
         sm = SensingMatrix(RNG.standard_normal((3, 7)))
         assert sm.q is sm.q
-        for arr in (sm.reflectors, sm.tau, sm.r, sm.q):
+        for arr in (sm.reflectors, sm.tau, sm.q):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("pipeline", ["mba_ratio", "two_stage"])
@@ -180,7 +182,7 @@ class TestSensingMatrix:
         assert in_fresh_interpreter(code) == []
 
     @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
-                                       (6, 6), (9, 4), (1, 7)])
+                                       (6, 6), (8, 9), (1, 7)])
     def test_apply_q_matches_explicit_q(self, shape):
         sm = SensingMatrix(RNG.standard_normal(shape))
         for _ in range(3):
@@ -189,9 +191,13 @@ class TestSensingMatrix:
             assert err <= 1e-14 * np.linalg.norm(y)
 
     def test_full_row_rank_flag(self):
-        assert SensingMatrix(RNG.standard_normal((3, 8))).has_full_row_rank
-        dup = np.ones((2, 5))
-        assert not SensingMatrix(dup).has_full_row_rank
+        # the constructor decides rank once: a matrix without full row
+        # rank, repeated rows or more rows than columns, is no SensingMatrix
+        assert SensingMatrix(RNG.standard_normal((3, 8))).m == 3
+        for entries in (np.ones((2, 5)), RNG.standard_normal((9, 4)),
+                        RNG.standard_normal((7, 1))):
+            with pytest.raises(ValueError, match="full row rank"):
+                SensingMatrix(entries)
 
     def test_entries_frozen(self):
         sm = SensingMatrix(np.eye(3))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
+from sparseratio import subsolvers
 from sparseratio.models import SensingMatrix
 from sparseratio.subsolvers import (
     _dual_step,
@@ -112,7 +113,7 @@ class TestProxL1Ball:
                 R=float(rng.uniform(0.01, 4.0)),
                 alpha=float(rng.uniform(0.2, 5.0)),
             )
-            sol = prox_l1_ball(p, tol=1e-12)
+            sol = prox_l1_ball(p)
             gap = float(np.sum((sol.x - p.s) ** 2)) - p.R
             assert gap <= 1e-12 * max(p.R, 1.0)
             kkt = stationarity_residual(sol.x, p.c, p.s, p.alpha, sol.mu)
@@ -157,8 +158,6 @@ class TestProxL1Ball:
             BallProxProblem(c=[1.0], s=[0.0, 1.0], R=1.0, alpha=1.0)
         with pytest.raises(ValueError):
             BallProxProblem(c=[1.0], s=[0.0], R=1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            prox_l1_ball(BallProxProblem(c=[1.0], s=[0.0], R=1.0, alpha=1.0), tol=0.0)
 
     def test_vanishing_radius_solved_exactly(self):
         # with s = 0 the gap is (alpha c - 1)/(alpha + mu) = 1/(1 + mu), so
@@ -500,9 +499,17 @@ class TestLeastNormSolution:
             v = null @ rng2.standard_normal(null.shape[1])
             assert abs(float(x @ v)) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
+    def test_overflowing_solution_raises(self):
+        # 1e-300 I has full row rank, but x = b / 1e-300 overflows
+        with pytest.raises(SubsolverError, match="non-finite"):
+            least_norm_solution(SensingMatrix(1e-300 * np.eye(2)),
+                                [1e300, 1.0])
+
     def test_rank_deficient_raises(self):
-        with pytest.raises(SubsolverError):
-            least_norm_solution(SensingMatrix(np.ones((2, 5))), [1.0, 1.0])
+        # rank is the constructor's to decide; a raw rank-deficient matrix
+        # is rejected there
+        with pytest.raises(ValueError, match="full row rank"):
+            least_norm_solution(np.ones((2, 5)), [1.0, 1.0])
 
     @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
                                        (6, 6), (1, 7)])
@@ -523,14 +530,15 @@ class TestLeastNormSolution:
     @given(column_scaled_systems())
     def test_matches_pseudoinverse(self, system):
         A, b = system
-        sm = SensingMatrix(A)
-        if not sm.has_full_row_rank:
+        try:
+            sm = SensingMatrix(A)
+        except ValueError:
             reject()
         x = least_norm_solution(sm, b)
         nx = np.linalg.norm(x)
         # the reflectors give the explicit Q's Q R^{-T} b up to round-off,
         # however the columns are scaled, and x lies in range(A^T) = range(Q)
-        y = solve_triangular(sm.r, b, trans="T")
+        y = solve_triangular(np.triu(sm.reflectors[:sm.m]), b, trans="T")
         assert np.linalg.norm(x - sm.q @ y) <= 1e-12 * nx
         assert np.linalg.norm(x - sm.q @ (sm.q.T @ x)) <= 1e-12 * nx
         # no backward-stable solve can match pinv closer than about
@@ -601,14 +609,16 @@ class TestProxL1Affine:
         x = prox_l1_affine(rng.standard_normal(14), SensingMatrix(A), b, alpha=0.7)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * max(1.0, np.linalg.norm(b))
 
-    def test_max_iter_exhaustion_raises_with_residuals(self):
+    def test_max_iter_exhaustion_raises_with_residuals(self, monkeypatch):
         rng = np.random.default_rng(13)
         A = SensingMatrix(rng.standard_normal((3, 9)))
         b = rng.standard_normal(3)
+        monkeypatch.setattr(subsolvers, "_AFFINE_MAX_ITER", 1)
         with pytest.raises(SubsolverError, match=r"in 1 steps \(duality gap "):
-            prox_l1_affine(np.zeros(9), A, b, alpha=1.0, max_iter=1)
+            prox_l1_affine(np.zeros(9), A, b, alpha=1.0)
         # the same problem certifies once it is allowed a few steps
-        x = prox_l1_affine(np.zeros(9), A, b, alpha=1.0, max_iter=20)
+        monkeypatch.setattr(subsolvers, "_AFFINE_MAX_ITER", 20)
+        x = prox_l1_affine(np.zeros(9), A, b, alpha=1.0)
         np.testing.assert_allclose(A.entries @ x, b, rtol=0.0, atol=1e-12)
 
     def test_input_validation(self):
@@ -617,10 +627,6 @@ class TestProxL1Affine:
             prox_l1_affine([0.0, 0.0], A, [1.0], alpha=0.0)
         with pytest.raises(ValueError):
             prox_l1_affine([0.0], A, [1.0], alpha=1.0)  # wrong c length
-        with pytest.raises(ValueError):
-            prox_l1_affine([0.0, 0.0], A, [1.0], alpha=1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            prox_l1_affine([0.0, 0.0], A, [1.0], alpha=1.0, max_iter=0)
         with pytest.raises(ValueError):
             prox_l1_affine([np.nan, 0.0], A, [1.0], alpha=1.0)
 
@@ -672,8 +678,8 @@ class TestProxL1Affine:
     @given(affine_problems())
     def test_matches_reference_splitting(self, problem):
         A, b, c, alpha = problem
-        tol = 1e-12
-        x = prox_l1_affine(c, SensingMatrix(A), b, alpha, tol=tol)
+        tol = subsolvers._AFFINE_TOL
+        x = prox_l1_affine(c, SensingMatrix(A), b, alpha)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * (
             np.linalg.norm(A) * max(np.linalg.norm(x), np.linalg.norm(c))
             + np.linalg.norm(b))
