@@ -15,7 +15,8 @@ private generator per constraint family:
 Randomness is split into named substreams (matrix / support / values /
 noise) so each component draws an independent, order-insensitive stream
 from the single 64-bit seed. Instances regenerate bit-for-bit from
-(family, params, seed) on the same numpy build.
+(family, params, seed) on the same numpy build at the same BLAS thread
+count: b is a BLAS product, whose last bits can change with that count.
 
 The generators, and ``instance_from_dict``, build each matrix in an array
 of their own, freeze it and hand it to ``SensingMatrix``, which adopts it
@@ -88,11 +89,12 @@ _MAX_RANK_RETRIES = 10
 class GenSpec:
     """Family name plus every parameter needed to regenerate an instance.
 
-    Fields not used by a family stay None. sigma_factor scales the realized
-    noise magnitude into the constraint budget sigma. Two fields are filled
-    in here when left out: gamma, the cauchy Lorentzian scale, is 0.02, and
-    r, the robust_cs outlier budget, follows from iota as 2 * iota; a given
-    r must be that value, so no spec names an r that generate ignores.
+    Fields not used by a family must stay None, so no spec names a value
+    that generate ignores. sigma_factor scales the realized noise magnitude
+    into the constraint budget sigma. Two fields are filled in here when
+    left out: gamma, the cauchy Lorentzian scale, is 0.02, and r, the
+    robust_cs outlier budget, follows from iota as 2 * iota; a given r must
+    be that value.
     Every numeric field is checked for its type and sign here, and
     integral and real values are stored as int and float, so malformed
     parameters raise ValueError before any instance is drawn; so does a
@@ -130,6 +132,13 @@ class GenSpec:
                    if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{self.family} needs {', '.join(missing)}")
+        unused = [name for name in FIELD_TYPES
+                  if getattr(self, name) is not None
+                  and name not in (*FAMILY_PARAMS[self.family], "seed",
+                                   "sigma_factor", "gamma", "r")]
+        if unused:
+            raise ValueError(f"{self.family} does not use "
+                             f"{', '.join(unused)}")
         if self.gamma is not None and self.family != FAMILY_CAUCHY:
             raise ValueError("gamma applies only to the cauchy family")
         if self.r is not None and (self.family != FAMILY_ROBUST_CS
@@ -163,7 +172,12 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 
 def _unit_column_gaussian(m: int, n: int, seed: int) -> np.ndarray:
     A = _rng(seed, _STREAM_MATRIX).standard_normal((m, n))
-    A /= np.linalg.norm(A, axis=0)
+    # the squared column norms summed row by row: the order, and so the
+    # bits, of np.linalg.norm(A, axis=0), without its m-by-n temporary
+    sq = A[0] * A[0]
+    for row in A[1:]:
+        sq += row * row
+    A /= np.sqrt(sq)
     A.flags.writeable = False
     return A
 

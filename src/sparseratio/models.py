@@ -15,22 +15,28 @@ All constructors require q(0) > 0 (the origin must be infeasible, otherwise
 zero is a trivial sparsest solution). The sensing matrix has full row rank
 by construction: ``SensingMatrix`` is the one place that decides it, and
 raises ValueError on a matrix without it, so every model, prox and start
-point built on one may rely on it. ``SensingMatrix`` factors A^T with one
-call to LAPACK's dgeqrf, which writes the Householder reflectors into the
-one copy it makes of A^T, with R in its upper triangle. It adopts a frozen
-float64 matrix that owns its data as its entries, so a run holds two
-matrix-sized arrays, the entries and the reflectors, and no copy of R.
+point built on one may rely on it. ``SensingMatrix`` adopts a frozen
+float64 matrix that owns its data as its entries, forms A A^T and takes
+its Cholesky factor L with ``np.linalg.cholesky``. On a well-conditioned A
+it keeps L, which settles rank and serves the least-norm start, so a run
+holds the entries plus one m-by-m factor. On an ill-conditioned A, where
+the Gram matrix squares too much of the condition number away, it factors
+A^T by one call to LAPACK's dgeqrf instead, which writes the Householder
+reflectors into the one copy it makes of A^T, with R in its upper
+triangle; that run holds the entries and the n-by-m reflectors, and no
+copy of R. The reflectors of a well-conditioned A are formed only for the
+affine prox.
 
-The factorization calls dgeqrf and dorgqr through
-``numpy.linalg.lapack_lite``, numpy's wrapper of the LAPACK it ships with,
-so the module needs numpy only: importing scipy.linalg would load a second
-BLAS and cost about 27 MiB of resident memory. numpy types lapack_lite in
-its stubs but counts it as private, not public, API.
+The QR calls dgeqrf and dorgqr through ``numpy.linalg.lapack_lite``,
+numpy's wrapper of the LAPACK it ships with, so the module needs numpy
+only: importing scipy.linalg would load a second BLAS and cost about
+27 MiB of resident memory. numpy types lapack_lite in its stubs but counts
+it as private, not public, API.
 
 All operations are pure functions of immutable inputs and safe to share
-across threads. The one cached value is ``SensingMatrix.q``, formed on
-first use: forming it twice gives the same bits, so a race between threads
-only repeats the work.
+across threads. The cached values are the QR factors and the explicit Q
+of ``SensingMatrix``, formed on first use: forming them twice gives the
+same bits, so a race between threads only repeats the work.
 """
 
 from __future__ import annotations
@@ -61,6 +67,24 @@ __all__ = [
 
 # relative threshold on the R diagonal of the thin QR of A^T
 _RANK_RTOL = 1e-10
+# The least rho (an estimate of 1/cond(A), see _well_conditioned_cholesky)
+# at which A keeps the Cholesky factor L of A A^T instead of the QR of A^T.
+# The semi-normal equations solved with L leave x off by about
+# eps cond(A)^2 relative, and one correction step brings x to about
+# eps cond(A), the QR's own accuracy, while eps cond(A)^2 << 1 (Bjorck,
+# Linear Algebra Appl. 88/89, 1987). Over 14,000 column-scaled Gaussian
+# draws (m <= n <= 40, column scales over up to 10 decades) cond(A) stayed
+# below 184 / rho. So rho >= 1e-2 keeps cond(A) below about 2e4 (5e3 was
+# the most measured) and eps cond(A)^2 below 1e-7; there x lay within
+# 1.4e-13 relative of the QR's solution (7,505 draws). Draws with rho in
+# [3e-4, 1e-3) missed it by up to 1.4e-12, beyond the 1e-12 the least-norm
+# tests allow. The Gaussian families read rho of about 0.3. The bound
+# also settles rank: L_ii = |R_ii| in exact arithmetic, and
+# min L_ii >= rho max L_ii puts R's diagonal ratio eight decades above
+# _RANK_RTOL.
+_CHOLESKY_RTOL = 1e-2
+# the least pivot L_ii^2 kept: tiny / eps, see _well_conditioned_cholesky
+_MIN_PIVOT_SQ = float(np.finfo(float).tiny / np.finfo(float).eps)
 # default slack on q at a feasible point, read by is_feasible and by
 # drivers' SolverConfig.feas_tol, feasible_start and criticality_residual
 _FEAS_TOL = 1e-10
@@ -113,25 +137,72 @@ def _at_optimal_workspace(routine, *args) -> None:
         raise RuntimeError(f"{routine.__name__} failed with info = {info}")
 
 
-class SensingMatrix:
-    """Dense m-by-n sensing matrix of full row rank, with a cached QR
-    factorization of A^T.
+def _well_conditioned_cholesky(entries: np.ndarray) -> np.ndarray | None:
+    """The frozen lower Cholesky factor L of A A^T, or None where A is too
+    ill-conditioned for it, where the Gram matrix is not positive definite
+    in floating point, or where a pivot is subnormal-scale.
 
-    A^T = Q R is factored once at construction by one call to LAPACK's
-    dgeqrf at its optimal workspace, as np.linalg.qr calls it, and kept in
-    its compact form: ``reflectors`` (n-by-m, column-major, the copy of
-    A^T that dgeqrf overwrites) holds the Householder vectors below its
-    diagonal and R (m-by-m, upper triangular) on and above it, and ``tau``
-    their m scalar factors. Those two and the entries are all an instance
-    holds; the least-norm solve reads R in place. ``apply_q`` multiplies
-    one vector by Q, applying the reflectors in numpy. The explicit n-by-m
-    Q with orthonormal columns is formed by dorgqr only when ``q`` is first
-    read, which only the affine prox does.
+    The test is rho >= _CHOLESKY_RTOL with rho = 1 / (max_i L_ii ||y||_inf)
+    and y the solution of L y = e for the signs e_i = +-1 that LINPACK's
+    condition estimator picks, each growing |y_i| as far as it can. Each
+    |y_i| >= 1 / L_ii, so the test implies min L_ii >= rho max L_ii; the
+    diagonal alone does not suffice: a 40-row matrix whose L_ii stay above
+    half their largest has cond(A) 8e8 (tests/test_models.py). A pivot
+    L_ii^2 below tiny / eps would leave the rounding of the underflowed
+    products in A A^T above eps of it, so such a factor is not kept either.
+    """
+    gram = entries @ entries.T
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    del gram
+    y = np.empty(factor.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(y.size):
+            s = factor[i, :i] @ y[:i]
+            y[i] = (math.copysign(1.0, -s) - s) / factor[i, i]
+        growth = np.diagonal(factor).max() * np.abs(y).max()
+        smallest = np.diagonal(factor).min()
+    if not (growth * _CHOLESKY_RTOL <= 1.0
+            and smallest * smallest >= _MIN_PIVOT_SQ):
+        return None
+    factor.flags.writeable = False
+    return factor
+
+
+class SensingMatrix:
+    """Dense m-by-n sensing matrix of full row rank, with the one
+    factorization a solve needs.
+
+    The constructor forms the Gram matrix G = A A^T and its Cholesky factor
+    L (m-by-m, lower triangular, G = L L^T). Where A is well conditioned
+    (see _CHOLESKY_RTOL) it keeps L as ``cholesky``, and full row rank is
+    settled: no QR is run. The least-norm start then solves the
+    semi-normal equations A^T (L L^T)^{-1} b with one correction step,
+    which is as accurate as the QR only while cond(A) is moderate.
+    Elsewhere, also where the Cholesky factorization fails, ``cholesky`` is
+    None and A^T is factored by its QR, which also decides rank.
+
+    A^T = Q R is factored by one call to LAPACK's dgeqrf at its optimal
+    workspace, as np.linalg.qr calls it, and kept in its compact form:
+    ``reflectors`` (n-by-m, column-major, the copy of A^T that dgeqrf
+    overwrites) holds the Householder vectors below its diagonal and R
+    (m-by-m, upper triangular) on and above it, and ``tau`` their m scalar
+    factors; the least-norm solve reads R in place. On a matrix that kept
+    L, both are formed only when first read, which only the affine prox
+    does, with the same bits. ``apply_q`` multiplies one vector by Q,
+    applying the reflectors in numpy. The explicit n-by-m Q with
+    orthonormal columns is formed by dorgqr only when ``q`` is first read.
+    So an instance holds its entries plus either the m-by-m L or the
+    n-by-m reflectors.
 
     The matrix must have full row rank, and the constructor is the one
     place that checks it: it raises ValueError when m > n, before
-    factoring, or when the smallest |R_ii| is not above _RANK_RTOL times
-    the largest.
+    factoring, or, on the QR path, when the smallest |R_ii| is not above
+    _RANK_RTOL times the largest. A matrix that keeps L passes that test
+    by a wide margin (see _CHOLESKY_RTOL), so both paths accept and reject
+    the same matrices.
 
     Entries and factors are frozen. A read-only float64 array that owns
     its data is adopted as ``entries`` without a copy. Any other input, a
@@ -141,7 +212,7 @@ class SensingMatrix:
     view of it taken before it was frozen.
     """
 
-    __slots__ = ("entries", "m", "n", "reflectors", "tau", "_q")
+    __slots__ = ("entries", "m", "n", "cholesky", "_qr", "_q")
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
@@ -158,23 +229,43 @@ class SensingMatrix:
         self.m, self.n = entries.shape
         if self.m > self.n:
             raise ValueError("sensing matrix must have full row rank")
-        # a row-major copy of A is A^T in column-major storage: dgeqrf
-        # overwrites that one copy with the reflectors. The optimal
-        # (blocked) workspace, which np.linalg.qr also queries, gives its
-        # bits; the default one differs from them in the last bits.
-        at = np.array(entries, order="C")
-        tau = np.empty(self.m)
-        _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at, self.n,
-                              tau)
-        diag = np.abs(np.diagonal(at.T))
-        if not diag.min() > _RANK_RTOL * diag.max():
-            raise ValueError("sensing matrix must have full row rank")
-        for arr in (entries, at, tau):
-            arr.flags.writeable = False
+        entries.flags.writeable = False
         self.entries = entries
-        self.reflectors = at.T
-        self.tau = tau
         self._q = None
+        self._qr = None
+        self.cholesky = _well_conditioned_cholesky(entries)
+        if self.cholesky is None:
+            reflectors, _ = self._factor_qr()
+            diag = np.abs(np.diagonal(reflectors))
+            if not diag.min() > _RANK_RTOL * diag.max():
+                raise ValueError("sensing matrix must have full row rank")
+
+    def _factor_qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reflectors, tau) of A^T = Q R, factored on first use."""
+        if self._qr is None:
+            # a row-major copy of A is A^T in column-major storage: dgeqrf
+            # overwrites that one copy with the reflectors. The optimal
+            # (blocked) workspace, which np.linalg.qr also queries, gives
+            # its bits; the default one differs from them in the last bits.
+            at = np.array(self.entries, order="C")
+            tau = np.empty(self.m)
+            _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at,
+                                  self.n, tau)
+            at.flags.writeable = False
+            tau.flags.writeable = False
+            self._qr = (at.T, tau)
+        return self._qr
+
+    @property
+    def reflectors(self) -> np.ndarray:
+        """The Householder vectors of A^T = Q R below the diagonal, R on and
+        above it (n-by-m, column-major)."""
+        return self._factor_qr()[0]
+
+    @property
+    def tau(self) -> np.ndarray:
+        """The m scalar factors of the Householder reflectors."""
+        return self._factor_qr()[1]
 
     @property
     def q(self) -> np.ndarray:
@@ -184,11 +275,12 @@ class SensingMatrix:
         np.linalg.qr's Q bit for bit; the minimal workspace differs from it
         in the last bits."""
         if self._q is None:
+            reflectors, tau = self._factor_qr()
             # the transposed copy of the reflectors is column-major n-by-m
             # storage, which dorgqr overwrites with Q
-            qt = np.array(self.reflectors.T, order="C")
+            qt = np.array(reflectors.T, order="C")
             _at_optimal_workspace(lapack_lite.dorgqr, self.n, self.m, self.m,
-                                  qt, self.n, self.tau)
+                                  qt, self.n, tau)
             # row-major, so the affine prox's row selections stay contiguous
             q = np.ascontiguousarray(qt.T)
             q.flags.writeable = False
@@ -203,12 +295,13 @@ class SensingMatrix:
         m reflectors are applied last to first to y padded with zeros to
         length n. Each touches only rows i and below.
         """
+        reflectors, tau = self._factor_qr()
         x = np.zeros(self.n)
         x[:self.m] = y
         for i in range(self.m - 1, -1, -1):
-            v = self.reflectors[i + 1:, i]
+            v = reflectors[i + 1:, i]
             xi = x[i:]
-            step = self.tau[i] * (xi[0] + v @ xi[1:])
+            step = tau[i] * (xi[0] + v @ xi[1:])
             xi[0] -= step
             xi[1:] -= step * v
         return x

@@ -285,37 +285,69 @@ def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
     return BallProxSolution(x=x, mu=mu, active=True)
 
 
+def _gram_solve(A: SensingMatrix, r: np.ndarray) -> np.ndarray:
+    """A^T (L L^T)^{-1} r for the Cholesky factor L of A A^T.
+
+    Forward substitution on L, then back substitution on L^T, one row at
+    a time in numpy, then one product with A^T. (L L^T)^{-1} r lies at
+    1/sigma^2 the scale of r, where the result lies at 1/sigma; so L^{-1} r
+    is scaled by 2^e, with 2^(e-1) <= max L_ii < 2^e, before the back
+    substitution and the product is scaled back by 2^-e. Scaling by a power
+    of two is exact, so this changes no bits, only keeps the middle vector
+    from under- or overflowing where the result does not.
+    """
+    L = A.cholesky
+    e = math.frexp(float(np.diagonal(L).max()))[1]
+    z = np.empty(A.m)
+    for i in range(A.m):
+        z[i] = (r[i] - L[i, :i] @ z[:i]) / L[i, i]
+    z = np.ldexp(z, e)
+    for i in range(A.m - 1, -1, -1):
+        z[i] = (z[i] - L[i + 1:, i] @ z[i + 1:]) / L[i, i]
+    return np.ldexp(A.entries.T @ z, -e)
+
+
 def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
-    """Minimum-Euclidean-norm solution of Ax = b.
+    """Minimum-Euclidean-norm solution of Ax = b, orthogonal to ker A.
 
-    Uses the cached QR of A^T: with A^T = QR, the solution is Q y with
-    R^T y = b. y comes from forward substitution on the lower-triangular
-    R^T, reading each column of R where dgeqrf left it, in the reflectors'
-    upper triangle, and Q is applied by its Householder reflectors
-    (SensingMatrix.apply_q), so neither R nor the explicit Q is copied.
-    Both run in numpy, one row or one reflector at a time. The result is
-    orthogonal to ker A. A has full row rank (SensingMatrix checks it), so
-    R^T is nonsingular; a solution that overflows raises SubsolverError.
+    On a well-conditioned A (one that keeps SensingMatrix.cholesky, L L^T
+    = A A^T) it solves the corrected semi-normal equations: x = A^T y with
+    L L^T y = b, then one correction step x += A^T (L L^T)^{-1} (b - Ax),
+    which brings x to the accuracy of a QR solve (see
+    models._CHOLESKY_RTOL). Only vectors are allocated.
 
-    y lives in a stride-2 buffer. The columns of R are contiguous in the
+    Elsewhere it uses the QR of A^T: with A^T = QR, the solution is Q y
+    with R^T y = b. y comes from forward substitution on the
+    lower-triangular R^T, reading each column of R where dgeqrf left it, in
+    the reflectors' upper triangle, and Q is applied by its Householder
+    reflectors (SensingMatrix.apply_q), so neither R nor the explicit Q is
+    copied. Both run in numpy, one row or one reflector at a time. y lives
+    in a stride-2 buffer. The columns of R are contiguous in the
     column-major reflectors, so each dot pairs a contiguous and a strided
     operand, as it does on a row-major copy of R, and x is bitwise the x
     of forward substitution on such a copy; two contiguous operands take
     another BLAS kernel and change the last bits.
+
+    A has full row rank (SensingMatrix checks it), so both systems are
+    nonsingular; a solution that overflows raises SubsolverError.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    r = A.reflectors
-    y = np.empty(2 * A.m)[::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        # row i of R^T is column i of R; its entries above the diagonal
-        # multiply the y_j already found
-        for i in range(A.m):
-            y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
-        x = A.apply_q(y)
+        if A.cholesky is not None:
+            x = _gram_solve(A, b)
+            x += _gram_solve(A, b - A.entries @ x)
+        else:
+            r = A.reflectors
+            y = np.empty(2 * A.m)[::2]
+            # row i of R^T is column i of R; its entries above the diagonal
+            # multiply the y_j already found
+            for i in range(A.m):
+                y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
+            x = A.apply_q(y)
     if not np.all(np.isfinite(x)):
         raise SubsolverError("triangular solve produced non-finite values")
     return x

@@ -1,6 +1,6 @@
-"""Micro-benchmarks of the sensing-matrix factorization, the least-norm
-solve, the RobustCS hooks, one moving-balls outer step and the criticality
-check.
+"""Micro-benchmarks of the sensing-matrix factorization (both paths), the
+least-norm solve, the RobustCS hooks, one moving-balls outer step and the
+criticality check.
 
 The file name keeps it out of the default ``test_*.py`` collection; run it
 explicitly with pytest-benchmark:
@@ -45,21 +45,32 @@ def robust_mid_run():
     return model, warm.x_final
 
 
-@pytest.mark.parametrize("writeable", [False, True],
-                         ids=["adopted", "copied"])
-def test_sensing_matrix_factorization(benchmark, robust_mid_run, writeable):
-    # the finiteness check and dgeqrf on its one copy of A^T; a writeable
-    # A is copied first. Neither R nor the explicit Q is formed
-    model, _ = robust_mid_run
-    entries = model.A.entries.copy() if writeable else model.A.entries
+def _ill_conditioned_entries():
+    # acceptance plan 3's badly_scaled cell at seed 1382: cond(A) about 500
+    # sends it to the QR
+    return generate(GenSpec(family="badly_scaled", n=1024, m=64, k=8, F=5.0,
+                            D=2.0, seed=1382)).model.A.entries
+
+
+@pytest.mark.parametrize("path", ["cholesky", "qr"])
+def test_sensing_matrix_factorization(benchmark, robust_mid_run, path):
+    # cholesky: A A^T, its Cholesky factor and the one forward substitution
+    # of the condition estimate on the 730 x 2560 robust_cs matrix, which
+    # keeps L. qr: the same on an ill-conditioned badly_scaled matrix,
+    # which then falls back to dgeqrf on its one copy of A^T
+    if path == "cholesky":
+        entries = robust_mid_run[0].A.entries
+    else:
+        entries = _ill_conditioned_entries()
     sm = benchmark(SensingMatrix, entries)
-    assert sm.reflectors.tobytes() == model.A.reflectors.tobytes()
+    assert sm.entries is entries
+    assert (sm.cholesky is None) == (path == "qr")
     assert sm._q is None
-    assert (sm.entries is entries) != writeable
 
 
 def test_least_norm_solution(benchmark, robust_mid_run):
-    # the triangular solve and the reflectors applied to one vector
+    # four triangular solves with the Cholesky factor and three products
+    # with A: the semi-normal equations and their one correction step
     model, _ = robust_mid_run
     x = benchmark(least_norm_solution, model.A, model.b)
     assert np.linalg.norm(model.A.entries @ x - model.b) <= (

@@ -290,6 +290,26 @@ class TestGenerateDispatch:
         assert inst.gen_spec.r == inst.model.r == 6
 
 
+    @pytest.mark.parametrize("family, params, unused", [
+        ("robust_cs", {"p": 4, "iota": 1}, {"m": 5000, "F": 3.0, "D": 2.0}),
+        ("cauchy", {"m": 4}, {"p": 100, "iota": 3, "F": 1.0}),
+        ("badly_scaled", {"m": 4, "F": 5.0, "D": 1.0}, {"p": 4, "iota": 0}),
+    ])
+    def test_gen_spec_rejects_fields_its_family_ignores(self, family, params,
+                                                        unused):
+        # a field outside the family's parameters would be stored in the
+        # spec but never read by generate, so two specs of one instance
+        # could differ; each is rejected alone and all together
+        base = {"family": family, "n": 8, "k": 2, "seed": 0, **params}
+        for name, value in unused.items():
+            with pytest.raises(ValueError,
+                               match=f"{family} does not use {name}$"):
+                GenSpec(**base, **{name: value})
+        with pytest.raises(ValueError, match=f"does not use "
+                                             f"{', '.join(unused)}$"):
+            GenSpec(**base, **unused)
+        assert GenSpec(**base).family == family
+
     @pytest.mark.parametrize("family, params", [
         ("robust_cs", {"p": 6, "iota": 3}),
         ("cauchy", {"m": 9}),

@@ -123,20 +123,118 @@ class TestSensingMatrix:
 
     def test_factors_read_only_and_q_cached(self):
         sm = SensingMatrix(RNG.standard_normal((3, 7)))
-        assert sm.q is sm.q
-        for arr in (sm.reflectors, sm.tau, sm.q):
+        assert sm.q is sm.q and sm.reflectors is sm.reflectors
+        for arr in (sm.cholesky, sm.reflectors, sm.tau, sm.q):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("pipeline", ["mba_ratio", "two_stage"])
     def test_moving_balls_pipelines_never_form_q(self, pipeline):
         # their one use of the factorization is the least-norm start, which
-        # applies the reflectors; only the affine prox reads A.q
-        model = generate(GenSpec(family="cauchy", n=64, m=24, k=3,
-                                 seed=0)).model
-        run_pipeline(model, pipeline, SolverConfig())
-        assert model.A._q is None
+        # solves with the Cholesky factor on the Gaussian families: neither
+        # Q nor the reflectors are formed. Only the affine prox forms them
+        specs = [GenSpec(family="cauchy", n=64, m=24, k=3, seed=0),
+                 GenSpec(family="robust_cs", n=64, p=24, k=3, iota=2,
+                         seed=0)]
+        for spec in specs:
+            model = generate(spec).model
+            run_pipeline(model, pipeline, SolverConfig())
+            assert model.A.cholesky is not None
+            assert model.A._qr is None and model.A._q is None
         run_pipeline(model, "algorithm1", SolverConfig(max_outer_iters=1))
-        assert model.A._q is not None
+        assert model.A._qr is not None and model.A._q is not None
+
+    def test_gaussian_families_keep_the_cholesky_factor(self):
+        # the generated Gaussian matrices read rho of about 0.3, so they
+        # keep L with L L^T = A A^T, lower triangular and frozen
+        for spec in (GenSpec(family="robust_cs", n=256, p=72, k=8, iota=2,
+                             seed=1),
+                     GenSpec(family="cauchy", n=640, m=180, k=20, seed=0)):
+            sm = generate(spec).model.A
+            L = sm.cholesky
+            assert L.shape == (sm.m, sm.m) and not L.flags.writeable
+            assert L.tobytes() == np.tril(L).tobytes()
+            gram = sm.entries @ sm.entries.T
+            assert np.abs(L @ L.T - gram).max() <= 1e-14 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("seed, cond", [(688, 1.4e7), (1382, 2.1e8)])
+    def test_ill_conditioned_badly_scaled_draws_take_the_qr_path(self, seed,
+                                                                 cond):
+        # cosine rows at 128 x 24: L L^T would square these condition
+        # numbers past 1e14, so A keeps its QR, factored at construction
+        sm = generate(GenSpec(family="badly_scaled", n=128, m=24, k=3, F=5.0,
+                              D=3.0, seed=seed)).model.A
+        assert sm.cholesky is None and sm._qr is not None
+        assert np.linalg.cond(sm.entries) == pytest.approx(cond, rel=0.05)
+
+    def test_hidden_ill_conditioning_takes_the_qr_path(self):
+        # A = (Q R)^T with R = I - 0.6 (ones above the diagonal), 40 x 40:
+        # every row lies at distance 1 from the span of the rows before it,
+        # so L's computed diagonal stays above half its largest entry, yet
+        # cond(A) is 8e8, and the corrected semi-normal equations leave a
+        # residual of 7.2 |b| here. LINPACK's sign choice grows y like
+        # 1.6^i and finds it
+        rng = np.random.default_rng(0)
+        m = 40
+        q, _ = np.linalg.qr(rng.standard_normal((2 * m, m)))
+        A = (q @ (np.eye(m) - 0.6 * np.triu(np.ones((m, m)), 1))).T
+        pivots = np.diagonal(np.linalg.cholesky(A @ A.T))
+        assert pivots.min() > 0.5 * pivots.max()
+        assert np.linalg.cond(A) > 1e8
+        sm = SensingMatrix(A)
+        assert sm.cholesky is None
+        b = rng.standard_normal(m)
+        x = least_norm_solution(sm, b)
+        assert np.linalg.norm(A @ x - b) <= 1e-7 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("factor, keeps_cholesky", [(1.0 + 1e-6, True),
+                                                        (1.0 - 1e-6, False)])
+    def test_cholesky_bound_edge(self, factor, keeps_cholesky):
+        # A = D V^T, V with orthonormal columns and D = diag(1, ..., 1, t):
+        # L = D up to round-off, y_i = +-1/d_i, so rho reads t. Just above
+        # _CHOLESKY_RTOL A keeps L, just below it the QR; both have full
+        # row rank, and both solves agree
+        v, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((30, 12)))
+        d = np.ones(12)
+        d[-1] = factor * models_module._CHOLESKY_RTOL
+        sm = SensingMatrix(d[:, None] * v.T)
+        assert (sm.cholesky is not None) == keeps_cholesky
+        b = np.arange(1.0, 13.0)
+        x, exact = least_norm_solution(sm, b), v @ (b / d)
+        assert np.linalg.norm(x - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_rank_decision_matches_the_qr_rule(self):
+        # either path accepts exactly the matrices whose R, from
+        # np.linalg.qr (dgeqrf with the same bits), has
+        # min |R_ii| > _RANK_RTOL max |R_ii|. Draws: Gaussian with column
+        # scales over up to 10 decades, half with the last row moved within
+        # 1e-14 to 1e-6 of the first (around that threshold), and cosine
+        # rows as badly_scaled draws them at 128 x 24
+        rng = np.random.default_rng(11)
+        matrices = []
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            m = int(rng.integers(1, n + 1))
+            decades = rng.uniform(0.0, 10.0)
+            A = (rng.standard_normal((m, n))
+                 * 10.0 ** rng.uniform(-decades / 2, decades / 2, n))
+            if m > 1 and rng.random() < 0.5:
+                A[-1] = A[0] + 10.0 ** rng.uniform(-14, -6) * A[-1]
+            matrices.append(A)
+        for _ in range(100):
+            w = rng.random(24)
+            matrices.append(np.cos(2.0 * np.pi * np.outer(w, np.arange(1, 129))
+                                   / 5.0) / np.sqrt(24))
+        seen = set()
+        for A in matrices:
+            r = np.abs(np.diagonal(np.linalg.qr(A.T, mode="r")))
+            wanted = bool(r.min() > models_module._RANK_RTOL * r.max())
+            try:
+                path = SensingMatrix(A).cholesky is None
+            except ValueError:
+                path = None
+            assert (path is not None) == wanted
+            seen.add(path)
+        assert seen == {None, True, False}
 
     def test_moving_balls_pipelines_never_import_scipy_linalg(self):
         # the test process has scipy loaded already, so a fresh interpreter
@@ -236,29 +334,29 @@ class TestSensingMatrix:
         np.testing.assert_array_equal(sm.entries, A)
 
     def test_factoring_a_frozen_matrix_allocates_one_matrix(self):
-        # the reflectors and small temporaries read 1.01; an m-by-m copy of
-        # R adds 0.29, copying A as well, or factoring through np.linalg.qr,
-        # reads 2.3
+        # A A^T and its Cholesky factor, m-by-m each and alive together,
+        # read 2 m / n = 0.57 of A; one more m-by-m array adds 0.29, the
+        # QR's reflectors 1.0, and a copy of A 1.0
         A = RNG.standard_normal((730, 2560))
         A.flags.writeable = False
-        assert traced_peak(SensingMatrix, A) <= 1.1 * A.nbytes
+        assert traced_peak(SensingMatrix, A) <= 0.6 * A.nbytes
 
     def test_generating_holds_two_matrices(self):
-        # acceptance plan 1's robust_cs cell: A and the reflectors, plus
-        # the normalization's temporary while A is drawn, read 2.02; an
-        # m-by-m copy of R adds 0.29, a copy of A in the generator or in
-        # SensingMatrix reads 3.3
+        # acceptance plan 1's robust_cs cell: A with A A^T and its Cholesky
+        # factor read 1.57. The column norms are summed row by row, so no
+        # m-by-n temporary is drawn with A (with one, 2.0); a copy of A in
+        # the generator or in SensingMatrix reads 2.6
         spec = GenSpec(family="robust_cs", n=2560, p=720, k=80, iota=10,
                        seed=0)
-        assert traced_peak(generate, spec) <= 2.1 * 730 * 2560 * 8
+        assert traced_peak(generate, spec) <= 1.6 * 730 * 2560 * 8
 
     @pytest.mark.parametrize("start", [
         lambda model: least_norm_solution(model.A, model.b),
         feasible_start,
     ], ids=["least_norm_solution", "feasible_start"])
     def test_least_norm_start_allocates_no_matrix(self, start):
-        # on the same cell the start reads R and the reflectors in place:
-        # vectors only, 0.004 of A; an m-by-m copy of R reads 0.29
+        # on the same cell the start reads the Cholesky factor in place:
+        # vectors only, 0.004 of A; an m-by-m copy of it reads 0.29
         model = generate(GenSpec(family="robust_cs", n=2560, p=720, k=80,
                                  iota=10, seed=0)).model
         assert traced_peak(start, model) <= 0.05 * model.A.entries.nbytes

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from sparseratio import subsolvers
-from sparseratio.models import SensingMatrix
+from sparseratio.models import SensingMatrix, _full_norm
 from sparseratio.subsolvers import (
     _dual_step,
     BallProxProblem,
@@ -476,6 +476,16 @@ def column_scaled_systems(draw):
     return rng.standard_normal((m, n)) * scales, rng.standard_normal(m)
 
 
+def forward_substitution_on_r(sm, b):
+    """The QR path's least-norm x, from a row-major np.triu copy of R and
+    the reflectors."""
+    r = np.triu(sm.reflectors[:sm.m])
+    y = np.empty(sm.m)
+    for i in range(sm.m):
+        y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
+    return sm.apply_q(y)
+
+
 class TestLeastNormSolution:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
@@ -512,19 +522,54 @@ class TestLeastNormSolution:
             least_norm_solution(np.ones((2, 5)), [1.0, 1.0])
 
     @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
-                                       (6, 6), (1, 7)])
+                                       (6, 6), (2, 7)])
     def test_bitwise_equal_to_forward_substitution_on_a_copy_of_r(self, shape):
-        # the solve reads R in place from the column-major reflectors; with
-        # y strided, each dot takes the BLAS path of a row-major np.triu
-        # copy of R, so x keeps those bits (a unit-stride y changes them)
+        # A's last row lies within 1e-6 of its first, so cond(A) is about
+        # 1e6 and A keeps the QR. The solve reads R in place from the
+        # column-major reflectors; with y strided, each dot takes the BLAS
+        # path of a row-major np.triu copy of R, so x keeps those bits (a
+        # unit-stride y changes them)
         rng = np.random.default_rng(shape[0] * shape[1])
-        sm = SensingMatrix(rng.standard_normal(shape))
+        A = rng.standard_normal(shape)
+        A[-1] = A[0] + 1e-6 * A[-1]
+        sm = SensingMatrix(A)
+        assert sm.cholesky is None
         b = rng.standard_normal(shape[0])
-        r = np.triu(sm.reflectors[:sm.tau.size])
-        y = np.empty(sm.m)
-        for i in range(sm.m):
-            y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
-        assert least_norm_solution(sm, b).tobytes() == sm.apply_q(y).tobytes()
+        assert (least_norm_solution(sm, b).tobytes()
+                == forward_substitution_on_r(sm, b).tobytes())
+
+    @pytest.mark.parametrize("shape", [(730, 2560), (180, 640), (64, 300),
+                                       (20, 60), (1, 7)])
+    def test_cholesky_path_residual_no_worse_than_the_qr_solve(self, shape):
+        # on a well-conditioned A the corrected semi-normal equations leave
+        # a residual no larger than the QR solve's, up to one rounding of
+        # b, and x in range(A^T) = range(Q) up to round-off
+        rng = np.random.default_rng(shape[0] + shape[1])
+        sm = SensingMatrix(rng.standard_normal(shape))
+        assert sm.cholesky is not None
+        b = rng.standard_normal(shape[0])
+        x = least_norm_solution(sm, b)
+        x_qr = forward_substitution_on_r(sm, b)
+        A = sm.entries
+        assert np.linalg.norm(A @ x - b) <= (
+            np.linalg.norm(A @ x_qr - b)
+            + np.finfo(float).eps * np.linalg.norm(b))
+        assert np.linalg.norm(x - sm.q @ (sm.q.T @ x)) <= (
+            1e-14 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("scale, b_scale", [(1e-140, 1e40),
+                                                (1e140, 1e-60)])
+    def test_cholesky_path_solves_far_from_unit_scale(self, scale, b_scale):
+        # (L L^T)^{-1} b lies at b_scale / scale^2 (1e320 and 1e-340 here),
+        # beyond the float range, while x lies at b_scale / scale; the solve
+        # scales its middle vector by a power of two and matches the QR's x
+        rng = np.random.default_rng(4)
+        sm = SensingMatrix(scale * rng.standard_normal((20, 60)))
+        assert sm.cholesky is not None
+        b = b_scale * rng.standard_normal(20)
+        x = least_norm_solution(sm, b)
+        x_qr = forward_substitution_on_r(sm, b)
+        assert _full_norm(x - x_qr) <= 1e-14 * _full_norm(x_qr)
 
     @settings(max_examples=300, deadline=None)
     @given(column_scaled_systems())
