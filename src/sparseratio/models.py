@@ -151,11 +151,14 @@ def _well_conditioned_cholesky(entries: np.ndarray) -> np.ndarray | None:
     L_ii^2 below tiny / eps would leave the rounding of the underflowed
     products in A A^T above eps of it, so such a factor is not kept either.
     """
-    gram = entries @ entries.T
-    try:
-        factor = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
+    # entries above about 1e154 overflow the Gram matrix; its factor then
+    # fails the test below, and the QR takes A as before
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = entries @ entries.T
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
     del gram
     y = np.empty(factor.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -353,6 +353,47 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     return x
 
 
+def _split(a):
+    """(hi, lo) with hi + lo = a exactly and 26 bits in each (Veltkamp)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _residual(A: SensingMatrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - Ax as accurately as if summed in twice the working precision.
+
+    Each product a_ij x_j is split exactly into p + e (Dekker's
+    TwoProduct). b_i and the -p_ij are added pairwise, each sum by Knuth's
+    TwoSum, which also gives its rounding error exactly, and those errors
+    and the -e_ij are summed plainly (Ogita, Rump and Oishi's Dot2). So
+    the result is off by about eps |b - Ax| + n^2 eps^2 (|b| + |A||x|),
+    where a plain product is off by n eps (|b| + |A||x|). Rows go in blocks
+    of about 2^17 entries, so the temporaries stay small. Returns None
+    where a product or a split overflows.
+    """
+    xh, xl = _split(x)
+    r = np.empty(A.m)
+    step = max(1, 2**17 // A.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, A.m, step):
+            rows = A.entries[i:i + step]
+            ah, al = _split(rows)
+            p = rows * x
+            # minus the rounding errors of p
+            err = ((((p - ah * xh) - al * xh) - ah * xl) - al * xl).sum(axis=1)
+            terms = np.hstack([b[i:i + step, None], -p])
+            while terms.shape[1] > 1:
+                if terms.shape[1] % 2:
+                    terms = np.hstack([terms, np.zeros((terms.shape[0], 1))])
+                u, v = terms[:, 0::2], terms[:, 1::2]
+                terms = u + v
+                z = terms - u
+                err += ((u - (terms - z)) + (v - z)).sum(axis=1)
+            r[i:i + step] = terms[:, 0] + err
+    return r if np.isfinite(r).all() else None
+
+
 def _objective(x, c, alpha) -> float:
     d = x - c
     return float(np.abs(x).sum() + 0.5 * alpha * (d @ d))
@@ -457,6 +498,12 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     1/alpha, then stays in the Newton matrix: without it the direction is
     blind to that row and the iteration can stall until the step cap.
 
+    x_ln is refined by one more least-norm solve on the residual b - A x_ln
+    summed in twice the working precision (_residual). Without it x_ln, and
+    with it the affine set the dual works on, lies about eps cond(A)
+    relative off Ax = b, and on an 8x8 A of cond(A) 1.4e6 the returned
+    point's P exceeded min P by 1.5e-11 P, beyond _AFFINE_TOL.
+
     The stop is a certificate built from the same factorization. x_hat is
     x(y) corrected on the rows J by the minimum-norm least-squares solution
     of Q_J^T delta = -F (the exact solution on the piece where x(y) keeps
@@ -496,6 +543,9 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     from scipy.linalg.lapack import dgetrf
 
     x_ln = least_norm_solution(A, b)
+    r = _residual(A, x_ln, np.asarray(b, dtype=float))
+    if r is not None:
+        x_ln = x_ln + least_norm_solution(A, r)
     Q = A.q
     qx_ln = Q.T @ x_ln
     tau = 1.0 / alpha
