@@ -326,72 +326,47 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     column-major reflectors, so each dot pairs a contiguous and a strided
     operand, as it does on a row-major copy of R, and x is bitwise the x
     of forward substitution on such a copy; two contiguous operands take
-    another BLAS kernel and change the last bits.
+    another BLAS kernel and change the last bits. The affine prox, which
+    forms the QR on every A, takes x_ln from this solve.
 
     A has full row rank (SensingMatrix checks it), so both systems are
     nonsingular; a solution that overflows raises SubsolverError.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
+    b = _rhs(A, b)
+    if A.cholesky is None:
+        return _least_norm_qr(A, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _gram_solve(A, b)
+        x += _gram_solve(A, b - A.entries @ x)
+    return _finite_solution(x)
+
+
+def _rhs(A: SensingMatrix, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (A.m,):
         raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if A.cholesky is not None:
-            x = _gram_solve(A, b)
-            x += _gram_solve(A, b - A.entries @ x)
-        else:
-            r = A.reflectors
-            y = np.empty(2 * A.m)[::2]
-            # row i of R^T is column i of R; its entries above the diagonal
-            # multiply the y_j already found
-            for i in range(A.m):
-                y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
-            x = A.apply_q(y)
+    return b
+
+
+def _finite_solution(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SubsolverError("triangular solve produced non-finite values")
     return x
 
 
-def _split(a):
-    """(hi, lo) with hi + lo = a exactly and 26 bits in each (Veltkamp)."""
-    t = a * 134217729.0  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _residual(A: SensingMatrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - Ax as accurately as if summed in twice the working precision.
-
-    Each product a_ij x_j is split exactly into p + e (Dekker's
-    TwoProduct). b_i and the -p_ij are added pairwise, each sum by Knuth's
-    TwoSum, which also gives its rounding error exactly, and those errors
-    and the -e_ij are summed plainly (Ogita, Rump and Oishi's Dot2). So
-    the result is off by about eps |b - Ax| + n^2 eps^2 (|b| + |A||x|),
-    where a plain product is off by n eps (|b| + |A||x|). Rows go in blocks
-    of about 2^17 entries, so the temporaries stay small. Returns None
-    where a product or a split overflows.
-    """
-    xh, xl = _split(x)
-    r = np.empty(A.m)
-    step = max(1, 2**17 // A.n)
+def _least_norm_qr(A: SensingMatrix, b: np.ndarray) -> np.ndarray:
+    """The least-norm solution of Ax = b by the QR of A^T, formed if A has
+    not formed it yet (see least_norm_solution)."""
+    r = A.reflectors
+    y = np.empty(2 * A.m)[::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, A.m, step):
-            rows = A.entries[i:i + step]
-            ah, al = _split(rows)
-            p = rows * x
-            # minus the rounding errors of p
-            err = ((((p - ah * xh) - al * xh) - ah * xl) - al * xl).sum(axis=1)
-            terms = np.hstack([b[i:i + step, None], -p])
-            while terms.shape[1] > 1:
-                if terms.shape[1] % 2:
-                    terms = np.hstack([terms, np.zeros((terms.shape[0], 1))])
-                u, v = terms[:, 0::2], terms[:, 1::2]
-                terms = u + v
-                z = terms - u
-                err += ((u - (terms - z)) + (v - z)).sum(axis=1)
-            r[i:i + step] = terms[:, 0] + err
-    return r if np.isfinite(r).all() else None
+        # row i of R^T is column i of R; its entries above the diagonal
+        # multiply the y_j already found
+        for i in range(A.m):
+            y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
+        return _finite_solution(A.apply_q(y))
 
 
 def _objective(x, c, alpha) -> float:
@@ -482,7 +457,8 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     """min P(x) = ||x||_1 + alpha/2 ||x - c||^2  subject to  Ax = b.
 
     With A^T = QR and the explicit Q (SensingMatrix.q, formed once per
-    matrix), Ax = b reads Q^T x = Q^T x_ln (x_ln the least-norm solution).
+    matrix), Ax = b reads Q^T x = Q^T x_ln (x_ln the least-norm solution,
+    taken from the same QR also where A keeps its Cholesky factor).
     For a multiplier y of that form the Lagrangian is minimized by
     x(y) = soft_threshold(v, 1/alpha), v = c + Q y / alpha, and the dual
     theta(y) = P(x(y)) - y . F(y) is concave and C^1 with gradient -F(y),
@@ -497,12 +473,6 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     the threshold, common far below unit scale where c is a few ulps of
     1/alpha, then stays in the Newton matrix: without it the direction is
     blind to that row and the iteration can stall until the step cap.
-
-    x_ln is refined by one more least-norm solve on the residual b - A x_ln
-    summed in twice the working precision (_residual). Without it x_ln, and
-    with it the affine set the dual works on, lies about eps cond(A)
-    relative off Ax = b, and on an 8x8 A of cond(A) 1.4e6 the returned
-    point's P exceeded min P by 1.5e-11 P, beyond _AFFINE_TOL.
 
     The stop is a certificate built from the same factorization. x_hat is
     x(y) corrected on the rows J by the minimum-norm least-squares solution
@@ -542,10 +512,7 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     from scipy.linalg import lu_solve
     from scipy.linalg.lapack import dgetrf
 
-    x_ln = least_norm_solution(A, b)
-    r = _residual(A, x_ln, np.asarray(b, dtype=float))
-    if r is not None:
-        x_ln = x_ln + least_norm_solution(A, r)
+    x_ln = _least_norm_qr(A, _rhs(A, b))
     Q = A.q
     qx_ln = Q.T @ x_ln
     tau = 1.0 / alpha

@@ -46,26 +46,35 @@ def robust_mid_run():
 
 
 def _ill_conditioned_entries():
-    # acceptance plan 3's badly_scaled cell at seed 1382: cond(A) about 500
-    # sends it to the QR
+    # acceptance plan 3's badly_scaled cell at seed 1382: rho 2.8e-3 (the
+    # estimate of 1/cond(A) that models._CHOLESKY_RTOL bounds) and cond(A)
+    # 519 send it to the QR
     return generate(GenSpec(family="badly_scaled", n=1024, m=64, k=8, F=5.0,
                             D=2.0, seed=1382)).model.A.entries
 
 
+@pytest.mark.parametrize("writeable", [False, True],
+                         ids=["adopted", "copied"])
 @pytest.mark.parametrize("path", ["cholesky", "qr"])
-def test_sensing_matrix_factorization(benchmark, robust_mid_run, path):
+def test_sensing_matrix_factorization(benchmark, robust_mid_run, path,
+                                      writeable):
     # cholesky: A A^T, its Cholesky factor and the one forward substitution
     # of the condition estimate on the 730 x 2560 robust_cs matrix, which
     # keeps L. qr: the same on an ill-conditioned badly_scaled matrix,
-    # which then falls back to dgeqrf on its one copy of A^T
+    # which then falls back to dgeqrf on its one copy of A^T, with the
+    # reflectors of the model's own matrix. A writeable A is copied first.
+    # The explicit Q is not formed
     if path == "cholesky":
-        entries = robust_mid_run[0].A.entries
+        model_a = robust_mid_run[0].A
     else:
-        entries = _ill_conditioned_entries()
+        model_a = SensingMatrix(_ill_conditioned_entries())
+    entries = model_a.entries.copy() if writeable else model_a.entries
     sm = benchmark(SensingMatrix, entries)
-    assert sm.entries is entries
+    assert (sm.entries is entries) != writeable
     assert (sm.cholesky is None) == (path == "qr")
-    assert sm._q is None
+    if path == "qr":
+        assert sm.reflectors.tobytes() == model_a.reflectors.tobytes()
+    assert sm._q is None and (sm._qr is None) == (path == "cholesky")
 
 
 def test_least_norm_solution(benchmark, robust_mid_run):

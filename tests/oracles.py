@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -291,34 +290,6 @@ def projected_subgradient_affine(A_list, b_list, c, alpha, iters: int = 500_000,
     return avg / wsum
 
 
-def exact_affine_projection(A, b, v) -> np.ndarray:
-    """v + A^T (A A^T)^{-1} (b - A v), the orthogonal projection of v onto
-    {z : Az = b}, computed in rational arithmetic and rounded once.
-
-    A floating-point projection misses the affine set by up to about
-    eps cond(A) |v| relative, which on an ill-conditioned A moves the
-    objective at the projected point by more than a 1e-12 relative bound.
-    A must have full row rank; slow, for the small problems of the tests.
-    """
-    A = [[Fraction(a) for a in row] for row in np.asarray(A, dtype=float).tolist()]
-    v = [Fraction(t) for t in np.asarray(v, dtype=float).tolist()]
-    m = len(A)
-    # the Gram system A A^T y = b - A v, augmented, by Gauss-Jordan
-    g = [[sum(p * q for p, q in zip(A[i], A[j])) for j in range(m)]
-         + [Fraction(float(b[i])) - sum(a * t for a, t in zip(A[i], v))]
-         for i in range(m)]
-    for k in range(m):
-        pivot = next(i for i in range(k, m) if g[i][k] != 0)
-        g[k], g[pivot] = g[pivot], g[k]
-        for i in range(m):
-            if i != k and g[i][k] != 0:
-                f = g[i][k] / g[k][k]
-                g[i] = [gi - f * gk for gi, gk in zip(g[i], g[k])]
-    y = [g[i][m] / g[i][i] for i in range(m)]
-    return np.array([float(t + sum(A[i][j] * y[i] for i in range(m)))
-                     for j, t in enumerate(v)])
-
-
 def splitting_prox_affine(c, A, b, alpha: float, tol: float = 1e-12,
                           max_iter: int = 200_000):
     """Affine-constrained l1 prox by operator splitting on x = z.
@@ -332,9 +303,7 @@ def splitting_prox_affine(c, A, b, alpha: float, tol: float = 1e-12,
 
     Stops when the primal residual ||x - z|| and the dual residual
     rho ||z - z_prev|| both fall below tol * sqrt(n), and returns the exact
-    affine projection of the final x (exact_affine_projection), so the
-    result is feasible to rounding of its own entries and its objective
-    bounds min P from above; raises RuntimeError after max_iter
+    affine projection of the final x; raises RuntimeError after max_iter
     iterations.
     """
     c = np.asarray(c, dtype=float)
@@ -362,7 +331,7 @@ def splitting_prox_affine(c, A, b, alpha: float, tol: float = 1e-12,
         dual = rho * float(np.linalg.norm(z_new - z))
         z = z_new
         if primal <= thresh and dual <= thresh:
-            return exact_affine_projection(A, b, x)
+            return project(x)
     raise RuntimeError(
         f"splitting did not converge in {max_iter} iterations "
         f"(primal={primal:.3e}, dual={dual:.3e}, threshold={thresh:.3e})"
