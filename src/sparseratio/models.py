@@ -21,22 +21,16 @@ its Cholesky factor L with ``np.linalg.cholesky``. On a well-conditioned A
 it keeps L, which settles rank and serves the least-norm start, so a run
 holds the entries plus one m-by-m factor. On an ill-conditioned A, where
 the Gram matrix squares too much of the condition number away, it factors
-A^T by one call to LAPACK's dgeqrf instead, which writes the Householder
-reflectors into the one copy it makes of A^T, with R in its upper
-triangle; that run holds the entries and the n-by-m reflectors, and no
-copy of R. The reflectors of a well-conditioned A are formed only for the
-affine prox.
-
-The QR calls dgeqrf and dorgqr through ``numpy.linalg.lapack_lite``,
-numpy's wrapper of the LAPACK it ships with, so the module needs numpy
-only: importing scipy.linalg would load a second BLAS and cost about
-27 MiB of resident memory. numpy types lapack_lite in its stubs but counts
-it as private, not public, API.
+A^T = Q R by ``np.linalg.qr`` instead; that run holds the entries, the
+n-by-m Q and the m-by-m R. The QR of a well-conditioned A is formed only
+for the affine prox. Both factorizations are public numpy API, so the
+module needs numpy only: importing scipy.linalg would load a second BLAS
+and cost about 27 MiB of resident memory.
 
 All operations are pure functions of immutable inputs and safe to share
-across threads. The cached values are the QR factors and the explicit Q
-of ``SensingMatrix``, formed on first use: forming them twice gives the
-same bits, so a race between threads only repeats the work.
+across threads. The one cached value is the QR of ``SensingMatrix``,
+formed on first use: forming it twice gives the same bits, so a race
+between threads only repeats the work.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ import operator
 from typing import Union
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 __all__ = [
     "SensingMatrix",
@@ -124,19 +117,6 @@ def _full_norm(v) -> float:
     return big * float(np.linalg.norm(v / big)) if big > 0.0 else 0.0
 
 
-def _at_optimal_workspace(routine, *args) -> None:
-    """Call a lapack_lite routine whose last arguments are (work, lwork,
-    info) at the workspace its lwork = -1 query returns; RuntimeError if
-    LAPACK reports a nonzero info."""
-    work = np.empty(1)
-    info = routine(*args, work, -1, 0)["info"]
-    if info == 0:
-        work = np.empty(int(work[0]))
-        info = routine(*args, work, work.size, 0)["info"]
-    if info != 0:
-        raise RuntimeError(f"{routine.__name__} failed with info = {info}")
-
-
 def _well_conditioned_cholesky(entries: np.ndarray) -> np.ndarray | None:
     """The frozen lower Cholesky factor L of A A^T, or None where A is too
     ill-conditioned for it, where the Gram matrix is not positive definite
@@ -187,18 +167,12 @@ class SensingMatrix:
     Elsewhere, also where the Cholesky factorization fails, ``cholesky`` is
     None and A^T is factored by its QR, which also decides rank.
 
-    A^T = Q R is factored by one call to LAPACK's dgeqrf at its optimal
-    workspace, as np.linalg.qr calls it, and kept in its compact form:
-    ``reflectors`` (n-by-m, column-major, the copy of A^T that dgeqrf
-    overwrites) holds the Householder vectors below its diagonal and R
-    (m-by-m, upper triangular) on and above it, and ``tau`` their m scalar
-    factors; the least-norm solve reads R in place. On a matrix that kept
-    L, both are formed only when first read, which only the affine prox
-    does, with the same bits. ``apply_q`` multiplies one vector by Q,
-    applying the reflectors in numpy. The explicit n-by-m Q with
-    orthonormal columns is formed by dorgqr only when ``q`` is first read.
-    So an instance holds its entries plus either the m-by-m L or the
-    n-by-m reflectors.
+    A^T = Q R is factored by ``np.linalg.qr`` and kept as ``qr``, the pair
+    of the explicit n-by-m Q with orthonormal columns and the m-by-m upper
+    triangular R, both row-major. On a matrix that kept L the pair is formed
+    only when first read, which only the affine prox does, with the same
+    bits. So an instance holds its entries plus either the m-by-m L or the
+    n-by-m Q and the m-by-m R.
 
     The matrix must have full row rank, and the constructor is the one
     place that checks it: it raises ValueError when m > n, before
@@ -215,7 +189,7 @@ class SensingMatrix:
     view of it taken before it was frozen.
     """
 
-    __slots__ = ("entries", "m", "n", "cholesky", "_qr", "_q")
+    __slots__ = ("entries", "m", "n", "cholesky", "_qr")
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
@@ -234,80 +208,22 @@ class SensingMatrix:
             raise ValueError("sensing matrix must have full row rank")
         entries.flags.writeable = False
         self.entries = entries
-        self._q = None
         self._qr = None
         self.cholesky = _well_conditioned_cholesky(entries)
         if self.cholesky is None:
-            reflectors, _ = self._factor_qr()
-            diag = np.abs(np.diagonal(reflectors))
+            diag = np.abs(np.diagonal(self.qr[1]))
             if not diag.min() > _RANK_RTOL * diag.max():
                 raise ValueError("sensing matrix must have full row rank")
 
-    def _factor_qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(reflectors, tau) of A^T = Q R, factored on first use."""
+    @property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, R) of A^T = Q R, factored on first use, then cached."""
         if self._qr is None:
-            # a row-major copy of A is A^T in column-major storage: dgeqrf
-            # overwrites that one copy with the reflectors. The optimal
-            # (blocked) workspace, which np.linalg.qr also queries, gives
-            # its bits; the default one differs from them in the last bits.
-            at = np.array(self.entries, order="C")
-            tau = np.empty(self.m)
-            _at_optimal_workspace(lapack_lite.dgeqrf, self.n, self.m, at,
-                                  self.n, tau)
-            at.flags.writeable = False
-            tau.flags.writeable = False
-            self._qr = (at.T, tau)
-        return self._qr
-
-    @property
-    def reflectors(self) -> np.ndarray:
-        """The Householder vectors of A^T = Q R below the diagonal, R on and
-        above it (n-by-m, column-major)."""
-        return self._factor_qr()[0]
-
-    @property
-    def tau(self) -> np.ndarray:
-        """The m scalar factors of the Householder reflectors."""
-        return self._factor_qr()[1]
-
-    @property
-    def q(self) -> np.ndarray:
-        """The explicit Q of A^T = Q R, formed from the reflectors by dorgqr
-        on first use, then cached. dorgqr runs at its optimal (blocked)
-        workspace, the faster path and the one that reproduces
-        np.linalg.qr's Q bit for bit; the minimal workspace differs from it
-        in the last bits."""
-        if self._q is None:
-            reflectors, tau = self._factor_qr()
-            # the transposed copy of the reflectors is column-major n-by-m
-            # storage, which dorgqr overwrites with Q
-            qt = np.array(reflectors.T, order="C")
-            _at_optimal_workspace(lapack_lite.dorgqr, self.n, self.m, self.m,
-                                  qt, self.n, tau)
-            # row-major, so the affine prox's row selections stay contiguous
-            q = np.ascontiguousarray(qt.T)
+            q, r = np.linalg.qr(self.entries.T)
             q.flags.writeable = False
-            self._q = q
-        return self._q
-
-    def apply_q(self, y) -> np.ndarray:
-        """Q y for a vector y of length m; the explicit Q is not formed.
-
-        Q = H_0 H_1 ... H_{m-1} with H_i = I - tau_i v_i v_i^T, where v_i is
-        1 at row i, column i of ``reflectors`` below it and 0 above, so the
-        m reflectors are applied last to first to y padded with zeros to
-        length n. Each touches only rows i and below.
-        """
-        reflectors, tau = self._factor_qr()
-        x = np.zeros(self.n)
-        x[:self.m] = y
-        for i in range(self.m - 1, -1, -1):
-            v = reflectors[i + 1:, i]
-            xi = x[i:]
-            step = tau[i] * (xi[0] + v @ xi[1:])
-            xi[0] -= step
-            xi[1:] -= step * v
-        return x
+            r.flags.writeable = False
+            self._qr = (q, r)
+        return self._qr
 
     def __repr__(self) -> str:
         return f"SensingMatrix(m={self.m}, n={self.n})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SensingMatrix, _full_norm
+from .models import SensingMatrix, _as_vector, _full_norm
 
 __all__ = [
     "BallProxProblem",
@@ -316,38 +316,24 @@ def least_norm_solution(A: SensingMatrix, b) -> np.ndarray:
     which brings x to the accuracy of a QR solve (see
     models._CHOLESKY_RTOL). Only vectors are allocated.
 
-    Elsewhere it uses the QR of A^T: with A^T = QR, the solution is Q y
-    with R^T y = b. y comes from forward substitution on the
-    lower-triangular R^T, reading each column of R where dgeqrf left it, in
-    the reflectors' upper triangle, and Q is applied by its Householder
-    reflectors (SensingMatrix.apply_q), so neither R nor the explicit Q is
-    copied. Both run in numpy, one row or one reflector at a time. y lives
-    in a stride-2 buffer. The columns of R are contiguous in the
-    column-major reflectors, so each dot pairs a contiguous and a strided
-    operand, as it does on a row-major copy of R, and x is bitwise the x
-    of forward substitution on such a copy; two contiguous operands take
-    another BLAS kernel and change the last bits. The affine prox, which
-    forms the QR on every A, takes x_ln from this solve.
+    Elsewhere it uses the QR of A^T (SensingMatrix.qr): with A^T = QR, the
+    solution is Q y with R^T y = b, y by forward substitution on the
+    lower-triangular R^T, one row at a time in numpy. The affine prox,
+    which forms the QR on every A, takes x_ln from this solve.
 
     A has full row rank (SensingMatrix checks it), so both systems are
-    nonsingular; a solution that overflows raises SubsolverError.
+    nonsingular. b must be a finite vector of length m (ValueError
+    otherwise); a solution that overflows raises SubsolverError.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
-    b = _rhs(A, b)
+    b = _as_vector(b, A.m, "b")
     if A.cholesky is None:
         return _least_norm_qr(A, b)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _gram_solve(A, b)
         x += _gram_solve(A, b - A.entries @ x)
     return _finite_solution(x)
-
-
-def _rhs(A: SensingMatrix, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.m,):
-        raise ValueError(f"b must have length {A.m}, got shape {b.shape}")
-    return b
 
 
 def _finite_solution(x: np.ndarray) -> np.ndarray:
@@ -359,14 +345,14 @@ def _finite_solution(x: np.ndarray) -> np.ndarray:
 def _least_norm_qr(A: SensingMatrix, b: np.ndarray) -> np.ndarray:
     """The least-norm solution of Ax = b by the QR of A^T, formed if A has
     not formed it yet (see least_norm_solution)."""
-    r = A.reflectors
-    y = np.empty(2 * A.m)[::2]
+    q, r = A.qr
+    y = np.empty(A.m)
     with np.errstate(over="ignore", invalid="ignore"):
         # row i of R^T is column i of R; its entries above the diagonal
         # multiply the y_j already found
         for i in range(A.m):
             y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
-        return _finite_solution(A.apply_q(y))
+        return _finite_solution(q @ y)
 
 
 def _objective(x, c, alpha) -> float:
@@ -456,7 +442,7 @@ def _piece_correction(lu, Q_J, z, F, rho) -> np.ndarray:
 def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     """min P(x) = ||x||_1 + alpha/2 ||x - c||^2  subject to  Ax = b.
 
-    With A^T = QR and the explicit Q (SensingMatrix.q, formed once per
+    With A^T = QR and the explicit Q (SensingMatrix.qr, formed once per
     matrix), Ax = b reads Q^T x = Q^T x_ln (x_ln the least-norm solution,
     taken from the same QR also where A keeps its Cholesky factor).
     For a multiplier y of that form the Lagrangian is minimized by
@@ -495,16 +481,16 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     the Newton matrix exactly singular when Q_J has fewer than m rows; that
     happens only in the same below-round-off regime, and it raises
     SubsolverError as well.
+
+    c and b must be finite vectors of length n and m and alpha positive;
+    ValueError otherwise.
     """
     if not isinstance(A, SensingMatrix):
         A = SensingMatrix(A)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (A.n,):
-        raise ValueError(f"c must have length {A.n}, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("c must be finite")
+    c = _as_vector(c, A.n, "c")
+    b = _as_vector(b, A.m, "b")
 
     # scipy.linalg is imported here, not with the module: only this solver
     # needs it, and loading it adds a second BLAS and about 27 MiB of
@@ -512,8 +498,8 @@ def prox_l1_affine(c, A: SensingMatrix, b, alpha: float) -> np.ndarray:
     from scipy.linalg import lu_solve
     from scipy.linalg.lapack import dgetrf
 
-    x_ln = _least_norm_qr(A, _rhs(A, b))
-    Q = A.q
+    x_ln = _least_norm_qr(A, b)
+    Q = A.qr[0]
     qx_ln = Q.T @ x_ln
     tau = 1.0 / alpha
     y = np.zeros(A.m)

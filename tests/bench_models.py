@@ -60,10 +60,9 @@ def test_sensing_matrix_factorization(benchmark, robust_mid_run, path,
                                       writeable):
     # cholesky: A A^T, its Cholesky factor and the one forward substitution
     # of the condition estimate on the 730 x 2560 robust_cs matrix, which
-    # keeps L. qr: the same on an ill-conditioned badly_scaled matrix,
-    # which then falls back to dgeqrf on its one copy of A^T, with the
-    # reflectors of the model's own matrix. A writeable A is copied first.
-    # The explicit Q is not formed
+    # keeps L; the QR is not formed. qr: the same on an ill-conditioned
+    # badly_scaled matrix, which then falls back to np.linalg.qr of A^T,
+    # with the R of the model's own matrix. A writeable A is copied first
     if path == "cholesky":
         model_a = robust_mid_run[0].A
     else:
@@ -72,9 +71,9 @@ def test_sensing_matrix_factorization(benchmark, robust_mid_run, path,
     sm = benchmark(SensingMatrix, entries)
     assert (sm.entries is entries) != writeable
     assert (sm.cholesky is None) == (path == "qr")
+    assert (sm._qr is None) == (path == "cholesky")
     if path == "qr":
-        assert sm.reflectors.tobytes() == model_a.reflectors.tobytes()
-    assert sm._q is None and (sm._qr is None) == (path == "cholesky")
+        assert sm.qr[1].tobytes() == model_a.qr[1].tobytes()
 
 
 def test_least_norm_solution(benchmark, robust_mid_run):

@@ -477,13 +477,13 @@ def column_scaled_systems(draw):
 
 
 def forward_substitution_on_r(sm, b):
-    """The QR path's least-norm x, from a row-major np.triu copy of R and
-    the reflectors."""
-    r = np.triu(sm.reflectors[:sm.m])
+    """The QR path's least-norm x, by forward substitution on R and one
+    product with Q, both from np.linalg.qr of A^T."""
+    q, r = np.linalg.qr(sm.entries.T)
     y = np.empty(sm.m)
     for i in range(sm.m):
         y[i] = (b[i] - r[:i, i] @ y[:i]) / r[i, i]
-    return sm.apply_q(y)
+    return q @ y
 
 
 class TestLeastNormSolution:
@@ -525,10 +525,9 @@ class TestLeastNormSolution:
                                        (6, 6), (2, 7)])
     def test_bitwise_equal_to_forward_substitution_on_a_copy_of_r(self, shape):
         # A's last row lies within 1e-6 of its first, so cond(A) is about
-        # 1e6 and A keeps the QR. The solve reads R in place from the
-        # column-major reflectors; with y strided, each dot takes the BLAS
-        # path of a row-major np.triu copy of R, so x keeps those bits (a
-        # unit-stride y changes them)
+        # 1e6 and A keeps the QR. Its factors are np.linalg.qr's bitwise,
+        # and the solve substitutes on R and multiplies by Q as written out
+        # here, so x keeps those bits
         rng = np.random.default_rng(shape[0] * shape[1])
         A = rng.standard_normal(shape)
         A[-1] = A[0] + 1e-6 * A[-1]
@@ -554,8 +553,8 @@ class TestLeastNormSolution:
         assert np.linalg.norm(A @ x - b) <= (
             np.linalg.norm(A @ x_qr - b)
             + np.finfo(float).eps * np.linalg.norm(b))
-        assert np.linalg.norm(x - sm.q @ (sm.q.T @ x)) <= (
-            1e-14 * np.linalg.norm(x))
+        q = sm.qr[0]
+        assert np.linalg.norm(x - q @ (q.T @ x)) <= 1e-14 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("scale, b_scale", [(1e-140, 1e40),
                                                 (1e140, 1e-60)])
@@ -581,11 +580,12 @@ class TestLeastNormSolution:
             reject()
         x = least_norm_solution(sm, b)
         nx = np.linalg.norm(x)
-        # the reflectors give the explicit Q's Q R^{-T} b up to round-off,
-        # however the columns are scaled, and x lies in range(A^T) = range(Q)
-        y = solve_triangular(np.triu(sm.reflectors[:sm.m]), b, trans="T")
-        assert np.linalg.norm(x - sm.q @ y) <= 1e-12 * nx
-        assert np.linalg.norm(x - sm.q @ (sm.q.T @ x)) <= 1e-12 * nx
+        # x is Q R^{-T} b up to round-off, however the columns are scaled,
+        # and lies in range(A^T) = range(Q)
+        q, r = sm.qr
+        y = solve_triangular(r, b, trans="T")
+        assert np.linalg.norm(x - q @ y) <= 1e-12 * nx
+        assert np.linalg.norm(x - q @ (q.T @ x)) <= 1e-12 * nx
         # no backward-stable solve can match pinv closer than about
         # cond(A) eps: with columns spread over 8 decades cond(A) reaches
         # 1e9, and pinv itself then misses the exact solution by about 1e-9
@@ -596,6 +596,15 @@ class TestLeastNormSolution:
     def test_wrong_length_b(self):
         with pytest.raises(ValueError):
             least_norm_solution(SensingMatrix(np.eye(3)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scale", [1.0, 1e-300], ids=["cholesky", "qr"])
+    def test_non_finite_b_rejected(self, bad, scale):
+        # a non-finite b is the caller's error, on either path, not a
+        # failed solve
+        sm = SensingMatrix(scale * np.eye(2))
+        with pytest.raises(ValueError, match="b must be finite"):
+            least_norm_solution(sm, [bad, 1.0])
 
 
 @st.composite
@@ -682,6 +691,9 @@ class TestProxL1Affine:
             prox_l1_affine([0.0], A, [1.0], alpha=1.0)  # wrong c length
         with pytest.raises(ValueError):
             prox_l1_affine([np.nan, 0.0], A, [1.0], alpha=1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="b must be finite"):
+                prox_l1_affine([0.0, 0.0], A, [bad], alpha=1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("scale", [1e-6, 1e-10, 1e-14])
