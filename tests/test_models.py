@@ -346,9 +346,9 @@ class TestSensingMatrix:
 
     def test_forming_the_qr_holds_only_q_and_r(self):
         # the affine prox's factors of a matrix that kept L: Q (n-by-m) and
-        # R (m-by-m) stay, 1 + m / n = 1.28 of A at 180 x 640 (the
-        # reflectors and Q read 2.0). np.linalg.qr's copy of A^T, which
-        # dgeqrf overwrites, lives only while it runs: 2.39 at the peak
+        # R (m-by-m) stay, 1 + m / n = 1.28 of A at 180 x 640.
+        # np.linalg.qr's copy of A^T, which dgeqrf overwrites, lives only
+        # while it runs: 2.39 at the peak
         sm = SensingMatrix(RNG.standard_normal((180, 640)))
         assert sm.cholesky is not None and sm._qr is None
         held, peak = traced_memory(lambda: sm.qr)
