@@ -7,10 +7,10 @@ Subcommands:
   prints its summary.
 * ``solve --instance F --pipeline P ...`` runs one pipeline on a stored
   instance, prints recovery metrics, optionally writes a result file.
-* ``bench --plan F | inline flags`` runs a (cells x seeds) grid, writes a
-  per-run CSV and a per-cell aggregate CSV. ``--plan`` excludes the inline
-  plan flags: ``--family`` and its parameters, ``--seeds``, ``--pipeline``,
-  the solver options, ``--warm-tol`` and ``--config``. A plan is checked
+  Its settings are flags: one per numeric SolverConfig field, ``--warm-tol``.
+* ``bench --plan F`` runs the (cells x seeds) grid of a plan file, its only
+  input of what to run (``plans/`` holds the three acceptance plans), and
+  writes a per-run CSV and a per-cell aggregate CSV. A plan is checked
   whole, every (cell, seed) pair, before its first run; no cell or seed
   may repeat.
 * ``check --instance F [--result F]`` re-verifies the invariants of stored
@@ -149,11 +149,11 @@ class PipelineResult:
 
 @dataclass
 class BenchPlan:
-    """A (cells x seeds) grid under one pipeline and config, checked whole
-    here: every (cell, seed) pair must make a valid GenSpec and no cell or
-    seed may repeat (the aggregates match rows to cells by value, and a
-    repeated seed would weight its instance twice), so a malformed plan
-    raises ValueError before its first run."""
+    """A (cells x seeds) grid under one pipeline and SolverConfig, checked
+    whole here: every (cell, seed) pair must make a valid GenSpec and no
+    cell or seed may repeat (the aggregates match rows to cells by value,
+    and a repeated seed would weight its instance twice), so a malformed
+    plan raises ValueError before its first run."""
 
     family: str
     cells: list[dict]
@@ -173,6 +173,9 @@ class BenchPlan:
             raise ValueError("plan needs at least one seed")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
+        if not isinstance(self.config, SolverConfig):
+            raise ValueError(
+                f"plan config must be a SolverConfig, got {self.config!r}")
         _check_warm_tol(self.pipeline, self.warm_tol)
         wanted = set(FAMILY_PARAMS[self.family])
         for i, cell in enumerate(self.cells):
@@ -405,45 +408,18 @@ def load_plan(path) -> BenchPlan:
         warm_tol=doc.get("warm_tol"))
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """'0:20' is the half-open range, '3,5,9' an explicit list."""
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        seeds = list(range(int(lo), int(hi)))
-    else:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
-
-
-# every numeric SolverConfig field is a flag of the same name
+# every numeric SolverConfig field is a solve flag of the same name
 _SOLVER_FLAGS = {f.name: int if f.type == "int" else float
                  for f in dataclasses.fields(SolverConfig) if f.type != "bool"}
 _SOLVER_FLAG_HELP = {
     "tol": "outer relative-step tolerance",
     "alpha": "proximal weight of the l1 subproblem",
 }
-# every family parameter is a bench flag of the same name
-_BENCH_PARAMS = tuple(dict.fromkeys(p for ps in FAMILY_PARAMS.values()
-                                    for p in ps))
-# the bench flags that make an inline plan (all None unless given)
-_INLINE_PLAN_FLAGS = ("family", *_BENCH_PARAMS, "seeds", "pipeline",
-                      *_SOLVER_FLAGS, "warm_tol", "config")
 
 
 def _config_from_args(args) -> SolverConfig:
-    base = {}
-    if getattr(args, "config", None):
-        base = _json_object(
-            json.loads(Path(args.config).read_text(encoding="utf-8")),
-            "--config")
-    for name in _SOLVER_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-    return _config_from_dict(base)
+    return SolverConfig(**{name: getattr(args, name) for name in _SOLVER_FLAGS
+                           if getattr(args, name) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -529,29 +505,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.plan:
-        given = [name for name in _INLINE_PLAN_FLAGS
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError("--plan excludes " + ", ".join(
-                f"--{name.replace('_', '-')}" for name in given))
-        plan = load_plan(args.plan)
-    else:
-        if args.family is None:
-            raise ValueError("bench needs either --plan or --family")
-        family = args.family.replace("-", "_")
-        cell = {}
-        for param in FAMILY_PARAMS[family]:
-            value = getattr(args, param)
-            if value is None:
-                raise ValueError(
-                    f"family {args.family} needs --{param} (or use --plan)")
-            cell[param] = value
-        plan = BenchPlan(
-            family=family, cells=[cell],
-            seeds=_parse_seeds("0:20" if args.seeds is None else args.seeds),
-            pipeline=args.pipeline or PIPELINE_MBA_RATIO,
-            config=_config_from_args(args), warm_tol=args.warm_tol)
+    plan = load_plan(args.plan)
 
     def progress(row: dict):
         if not args.quiet:
@@ -662,20 +616,6 @@ def _check_trace(doc: dict) -> bool:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_solver_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group("solver options")
-    for name, kind in _SOLVER_FLAGS.items():
-        group.add_argument(f"--{name.replace('_', '-')}", type=kind,
-                           default=None, dest=name,
-                           help=_SOLVER_FLAG_HELP.get(name))
-    group.add_argument("--warm-tol", type=float, default=None, dest="warm_tol",
-                       help="tolerance of the two_stage warm stage, "
-                            "two_stage only (default: same as --tol)")
-    group.add_argument("--config", default=None,
-                       help="JSON file of SolverConfig fields; "
-                            "explicit flags override it")
-
-
 _FAMILY_HELP = {
     FAMILY_ROBUST_CS: "Gaussian matrix, sparse outliers",
     FAMILY_CAUCHY: "Gaussian matrix, Cauchy noise",
@@ -718,21 +658,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true",
                        help="include the per-iteration trace in the result")
     solve.add_argument("--out", default=None, help="result file to write")
-    _add_solver_flags(solve)
+    group = solve.add_argument_group("solver options")
+    for name, kind in _SOLVER_FLAGS.items():
+        group.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                           default=None, dest=name,
+                           help=_SOLVER_FLAG_HELP.get(name))
+    group.add_argument("--warm-tol", type=float, default=None, dest="warm_tol",
+                       help="tolerance of the two_stage warm stage, "
+                            "two_stage only (default: same as --tol)")
     solve.set_defaults(func=_cmd_solve)
 
-    bench = sub.add_parser("bench", help="run a (cells x seeds) grid")
-    bench.add_argument("--plan", default=None,
-                       help="JSON plan file (excludes the inline plan flags)")
-    bench.add_argument("--family",
-                       choices=[f.replace("_", "-") for f in FAMILIES],
-                       default=None)
-    for name in _BENCH_PARAMS:
-        bench.add_argument(f"--{name}", type=FIELD_TYPES[name], default=None)
-    bench.add_argument("--seeds", default=None,
-                       help="'0:20' half-open range or '3,5,9' list "
-                            "(inline plans only; default 0:20)")
-    bench.add_argument("--pipeline", choices=PIPELINES, default=None)
+    bench = sub.add_parser("bench", help="run the (cells x seeds) grid of a "
+                                         "plan file")
+    bench.add_argument("--plan", required=True,
+                       help="JSON plan file, e.g. plans/robust_cs_ratio.json")
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1, reproducible "
                             "timing)")
@@ -741,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out-agg", default=None, dest="out_agg",
                        help="per-cell aggregate CSV path")
     bench.add_argument("--quiet", action="store_true")
-    _add_solver_flags(bench)
     bench.set_defaults(func=_cmd_bench)
 
     check = sub.add_parser("check",

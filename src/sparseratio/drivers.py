@@ -82,6 +82,9 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_SUBSOLVER_FAILURE = "subsolver_failure"
 
 _BB_INNER_THRESHOLD = 1e-12
+# the clip range of the Barzilai-Borwein curvature seed
+_L_MIN = 1e-8
+_L_MAX = 1e8
 
 
 class InfeasibleStartError(ValueError):
@@ -92,10 +95,11 @@ class InnerLoopError(RuntimeError):
     """The feasibility-restoring curvature loop exceeded its certified bound.
 
     Each failed trial multiplies the curvature by 2^i, i >= 1, and the loop
-    gives up once the exponents sum past log2(2 l_max / l_min). With a
-    correct gradient it terminates once the curvature estimate dominates
-    the true Lipschitz constant, so overflowing the bound almost always
-    points at a model/gradient inconsistency.
+    gives up once the exponents sum past log2(2 _L_MAX / _L_MIN), with
+    [_L_MIN, _L_MAX] the curvature seed's clip range. With a correct
+    gradient it terminates once the curvature estimate dominates the true
+    Lipschitz constant, so overflowing the bound almost always points at a
+    model/gradient inconsistency.
     """
 
 
@@ -103,16 +107,17 @@ class InnerLoopError(RuntimeError):
 class SolverConfig:
     """Tunables shared by both drivers.
 
-    alpha is the proximal weight of each step's l1 subproblem, and
-    [l_min, l_max] clips the Barzilai-Borwein curvature seed of run_mba.
-    tol drives the relative-step termination rule, which ends a run as
-    converged, and max_outer_iters caps its steps. feas_tol is the absolute
-    slack allowed on q at accepted iterates (the subproblems are solved to
-    finite accuracy, so exact q <= 0 cannot be insisted on). There is no
-    inner accuracy setting, here or on the proxes: the ball prox is exact
-    and the affine prox certifies its point, each to a fixed tolerance of
-    its module (see prox_l1_ball and prox_l1_affine); a prox that fails
-    ends the run with status subsolver_failure.
+    alpha is the proximal weight of each step's l1 subproblem. tol drives
+    the relative-step termination rule, which ends a run as converged, and
+    max_outer_iters caps its steps. feas_tol is the absolute slack allowed
+    on q at accepted iterates (the subproblems are solved to finite
+    accuracy, so exact q <= 0 cannot be insisted on). The curvature seed of
+    run_mba has no setting: it is clipped to the module constants
+    [_L_MIN, _L_MAX]. There is no inner accuracy setting, here or on the
+    proxes: the ball prox is exact and the affine prox certifies its point,
+    each to a fixed tolerance of its module (see prox_l1_ball and
+    prox_l1_affine); a prox that fails ends the run with status
+    subsolver_failure.
 
     Every run returns an IterateTrace; record_iterates also keeps a copy of
     each iterate in it. Each field is checked here for its type (the numeric
@@ -121,8 +126,6 @@ class SolverConfig:
     """
 
     alpha: float = 1.0
-    l_min: float = 1e-8
-    l_max: float = 1e8
     tol: float = 1e-6
     max_outer_iters: int = 20_000
     feas_tol: float = _FEAS_TOL
@@ -137,10 +140,6 @@ class SolverConfig:
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if not (0 < self.l_min < self.l_max):
-            raise ValueError("need 0 < l_min < l_max")
-        if not math.isfinite(self.l_max * 2.0 / self.l_min):
-            raise ValueError("2 * l_max / l_min must be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_outer_iters < 1:
@@ -201,20 +200,18 @@ def _ratio(x: np.ndarray, nx: float) -> float:
     return float(np.abs(x).sum() / nx)
 
 
-def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float, l_min: float,
-             l_max: float) -> float:
+def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float) -> float:
     """Safeguarded Barzilai-Borwein curvature seed.
 
     Returns clip(<d_x, d_g> / ||d_x||^2) when the inner product clears a
     small positive threshold, otherwise clip(l_prev / 2); clip is to
-    [l_min, l_max], whose bounds SolverConfig has checked. l_prev may
-    exceed l_max (the accepted curvature can outgrow the clip range); the
-    result is always inside it.
+    [_L_MIN, _L_MAX]. l_prev may exceed _L_MAX (the accepted curvature can
+    outgrow the clip range); the result is always inside it.
     """
     inner = float(d_x @ d_g)
     if inner >= _BB_INNER_THRESHOLD:
-        return max(l_min, min(inner / float(d_x @ d_x), l_max))
-    return max(l_min, min(l_prev / 2.0, l_max))
+        return max(_L_MIN, min(inner / float(d_x @ d_x), _L_MAX))
+    return max(_L_MIN, min(l_prev / 2.0, _L_MAX))
 
 
 def feasible_start(model: ConstraintModel,
@@ -340,8 +337,8 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         )
 
     # doublings (summed jump exponents) certified to restore feasibility
-    # before l can sweep the whole [l_min, 2*l_max] range
-    doubling_cap = math.ceil(math.log2(cfg.l_max * 2.0 / cfg.l_min))
+    # before l can sweep the whole [_L_MIN, 2 _L_MAX] range
+    doubling_cap = math.ceil(math.log2(_L_MAX * 2.0 / _L_MIN))
     curvature = _p1_curvature(model)
     x_prev = xi_prev = None
     l = 1.0
@@ -351,7 +348,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
         xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
         # the previous accepted curvature seeds the Barzilai-Borwein fallback
         if x_prev is not None:
-            l = _bb_seed(x - x_prev, xi - xi_prev, l, cfg.l_min, cfg.l_max)
+            l = _bb_seed(x - x_prev, xi - xi_prev, l)
         xi_sq = float(xi @ xi)
         doublings = 0
         while True:
@@ -432,8 +429,11 @@ def criticality_residual(model: ConstraintModel, x,
     min over lambda >= 0 of dist(0, subdiff + lambda g)^2 + (lambda q(x))^2,
     solved exactly: lambda is not capped, and no interior/boundary branch is
     taken, because the complementarity term itself keeps lambda near 0
-    where q(x) is far below 0.
+    where q(x) is far below 0. feas_tol is is_feasible's slack on q(x), and
+    a negative or NaN feas_tol raises ValueError as it does there.
     """
+    if not feas_tol >= 0:
+        raise ValueError("feas_tol must be nonnegative")
     x = _as_vector(x, model.A.n, "x")
     if not np.any(x):
         raise ValueError("criticality residual is undefined at x = 0")

@@ -231,7 +231,7 @@ class SensingMatrix:
 
 def lorentzian_norm(y, gamma: float) -> float:
     """sum_i log(1 + y_i^2 / gamma^2); zero iff y = 0. Not a true norm."""
-    if gamma <= 0:
+    if not gamma > 0:  # a NaN gamma fails too
         raise ValueError("gamma must be positive")
     y = np.asarray(y, dtype=float)
     return float(np.log1p((y / gamma) ** 2).sum())
@@ -239,7 +239,7 @@ def lorentzian_norm(y, gamma: float) -> float:
 
 def lorentzian_grad(y, gamma: float) -> np.ndarray:
     """Gradient of lorentzian_norm: component i is 2 y_i / (gamma^2 + y_i^2)."""
-    if gamma <= 0:
+    if not gamma > 0:  # a NaN gamma fails too
         raise ValueError("gamma must be positive")
     y = np.asarray(y, dtype=float)
     return 2.0 * y / (gamma * gamma + y * y)
@@ -446,6 +446,6 @@ def subgrad_p2(model: ConstraintModel, x) -> np.ndarray:
 
 def is_feasible(model: ConstraintModel, x, tol: float = _FEAS_TOL) -> bool:
     """True iff q(x) <= tol. Boundary points (q = tol) count as feasible."""
-    if tol < 0:
+    if not tol >= 0:  # a NaN tol fails too
         raise ValueError("tol must be nonnegative")
     return q_value(model, x) <= tol

@@ -61,7 +61,7 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 
     This is the proximal map of tau * ||.||_1 at v.
     """
-    if tau < 0:
+    if not tau >= 0:  # a NaN tau fails too
         raise ValueError("tau must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)

@@ -2,19 +2,20 @@
 
 Run with `pytest tests/test_acceptance.py -v`; the -v line of each test is
 the pass/fail record of its criterion, and each test also prints a one-line
-verdict with the measured numbers. The three benchmark plans are run once
-(module scope) and shared by the criteria that read them. The full module
-takes a few minutes; nothing here is stochastic, every run is seeded.
+verdict with the measured numbers. The three benchmark plans are the
+committed files in ``plans/``; each is run once (module scope) and shared
+by the criteria that read them. The full module takes a few minutes;
+nothing here is stochastic, every run is seeded.
 """
 
-import dataclasses
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparseratio.cli import BenchPlan, run_bench_plan
+from sparseratio.cli import load_plan, run_bench_plan
 from sparseratio.drivers import SolverConfig, run_algorithm1
 from sparseratio.instances import rec_err
 from sparseratio.models import (
@@ -53,52 +54,31 @@ def _verdict(criterion: int, ok: bool, detail: str):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _run(plan: BenchPlan):
-    return run_bench_plan(plan, jobs=1, keep_results=True)
+_PLANS = Path(__file__).resolve().parent.parent / "plans"
 
 
-def _robust_plan() -> BenchPlan:
-    # feas_tol sits three decades under the 1e-10 descent/feasibility gates:
-    # an iterate accepted with q in (0, feas_tol] lies outside the next
-    # moving ball by ~2q/l, which shows up as a descent violation of order
-    # |dF| q / |grad q|
-    return BenchPlan(
-        family="robust_cs",
-        cells=[{"n": 2560, "p": 720, "k": 80, "iota": 10}],
-        seeds=list(range(20)),
-        pipeline="mba_ratio",
-        config=SolverConfig(tol=1e-6, feas_tol=1e-13),
-    )
+def _run(name: str):
+    # every plan sets feas_tol = 1e-13, three decades under the 1e-10
+    # descent/feasibility gates: an iterate accepted with q in (0, feas_tol]
+    # lies outside the next moving ball by ~2q/l, which shows up as a
+    # descent violation of order |dF| q / |grad q|
+    return run_bench_plan(load_plan(_PLANS / name), jobs=1,
+                          keep_results=True)
 
 
 @pytest.fixture(scope="module")
 def robust_report():
-    return _run(_robust_plan())
+    return _run("robust_cs_ratio.json")
 
 
 @pytest.fixture(scope="module")
 def cauchy_report():
-    plan = BenchPlan(
-        family="cauchy",
-        cells=[{"n": 2560, "m": 720, "k": 80}],
-        seeds=list(range(20)),
-        pipeline="two_stage",
-        config=SolverConfig(tol=1e-6, feas_tol=1e-13),
-        warm_tol=1e-6,
-    )
-    return _run(plan)
+    return _run("cauchy_two_stage.json")
 
 
 @pytest.fixture(scope="module")
 def scaled_report():
-    plan = BenchPlan(
-        family="badly_scaled",
-        cells=[{"n": 1024, "m": 64, "k": 8, "F": 5.0, "D": 2.0}],
-        seeds=list(range(20)),
-        pipeline="two_stage",
-        config=SolverConfig(tol=1e-8, feas_tol=1e-13),
-    )
-    return _run(plan)
+    return _run("badly_scaled_two_stage.json")
 
 
 def test_criterion_1_robust_cs_recovery(robust_report):
@@ -309,7 +289,7 @@ def test_criterion_8_criticality_of_benchmark_finals(robust_report,
 
 
 def test_criterion_9_bitwise_determinism(robust_report):
-    again = _run(_robust_plan())
+    again = _run("robust_cs_ratio.json")
     first = [row["rec_err"] for row in robust_report.rows]
     second = [row["rec_err"] for row in again.rows]
     same = all(a == b for a, b in zip(first, second))

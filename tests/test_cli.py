@@ -4,15 +4,25 @@ import csv
 import dataclasses
 import json
 import math
+import re
+import shlex
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparseratio import cli, drivers
-from sparseratio.cli import BenchPlan, main, run_bench_plan, run_pipeline
+from sparseratio.cli import (
+    BenchPlan,
+    build_parser,
+    load_plan,
+    main,
+    run_bench_plan,
+    run_pipeline,
+)
 from sparseratio.drivers import SolverConfig
 from sparseratio.subsolvers import SubsolverError
 from sparseratio.instances import (
@@ -22,6 +32,9 @@ from sparseratio.instances import (
     load_result,
     save_instance,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_rows(path):
@@ -168,8 +181,8 @@ class TestSolve:
 
     def test_every_solver_flag_reaches_run_config(self, cauchy_instance,
                                                   tmp_path):
-        values = {"alpha": 0.75, "l_min": 1e-7, "l_max": 1e7, "tol": 1e-5,
-                  "max_outer_iters": 300, "feas_tol": 1e-11}
+        values = {"alpha": 0.75, "tol": 1e-5, "max_outer_iters": 300,
+                  "feas_tol": 1e-11}
         assert set(values) == {f.name for f in dataclasses.fields(SolverConfig)
                                if f.type != "bool"}
         flags = [arg for name, value in values.items()
@@ -180,6 +193,15 @@ class TestSolve:
         assert rc == 0
         run_config = load_result(out)["run_config"]
         assert {name: run_config[name] for name in values} == values
+
+    @pytest.mark.parametrize("flag", ["--config", "--l-min", "--l-max"])
+    def test_removed_setting_flag_is_usage_error(self, flag, cauchy_instance,
+                                                 capsys):
+        # solve takes its settings as flags, one per SolverConfig field
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(cauchy_instance), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_missing_instance_file(self, tmp_path, capsys):
         rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
@@ -212,18 +234,17 @@ class TestSolve:
 
 
 class TestBench:
-    def run_inline(self, tmp_path, tag, extra=()):
+    def run_plan(self, tmp_path, tag, extra=()):
         rows = tmp_path / f"rows_{tag}.csv"
         agg = tmp_path / f"agg_{tag}.csv"
-        rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
-                   "--k", "3", "--seeds", "0:3", "--pipeline", "mba_ratio",
-                   "--tol", "1e-8", "--quiet", "--out-rows", str(rows),
+        plan = write_plan(tmp_path, seeds=[0, 1, 2], config={"tol": 1e-8})
+        rc = main(["bench", "--plan", plan, "--quiet", "--out-rows", str(rows),
                    "--out-agg", str(agg), *extra])
         assert rc == 0
         return read_rows(rows), read_rows(agg)
 
-    def test_inline_grid_rows_and_header(self, tmp_path):
-        rows, _ = self.run_inline(tmp_path, "a")
+    def test_grid_rows_and_header(self, tmp_path):
+        rows, _ = self.run_plan(tmp_path, "a")
         assert rows[0] == ["family", "n", "m", "k", "seed", "rec_err",
                            "residual", "iters", "status", "t_gen", "t_warm",
                            "t_main", "warm_rec_err", "warm_status"]
@@ -233,7 +254,7 @@ class TestBench:
         assert all(r[13] == "" for r in rows[1:])  # no warm stage
 
     def test_aggregates_recompute_from_rows(self, tmp_path):
-        rows, agg = self.run_inline(tmp_path, "b")
+        rows, agg = self.run_plan(tmp_path, "b")
         recs = [float(r[5]) for r in rows[1:]]
         resids = [float(r[6]) for r in rows[1:]]
         head, vals = agg[0], agg[1]
@@ -247,13 +268,13 @@ class TestBench:
         assert at["n_ok"] == "3" and at["failures"] == "0"
 
     def test_rerun_reproduces_rec_err_bitwise(self, tmp_path):
-        rows1, _ = self.run_inline(tmp_path, "c")
-        rows2, _ = self.run_inline(tmp_path, "d")
+        rows1, _ = self.run_plan(tmp_path, "c")
+        rows2, _ = self.run_plan(tmp_path, "d")
         assert [r[5] for r in rows1[1:]] == [r[5] for r in rows2[1:]]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        rows1, _ = self.run_inline(tmp_path, "e")
-        rows2, _ = self.run_inline(tmp_path, "f", extra=("--jobs", "2"))
+        rows1, _ = self.run_plan(tmp_path, "e")
+        rows2, _ = self.run_plan(tmp_path, "f", extra=("--jobs", "2"))
         assert [r[5] for r in rows1[1:]] == [r[5] for r in rows2[1:]]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -276,9 +297,9 @@ class TestBench:
 
         monkeypatch.setattr(drivers, "prox_l1_affine", fail)
         agg = tmp_path / "agg.csv"
-        rc = main(["bench", "--family", "cauchy", "--n", "32", "--m", "12",
-                   "--k", "3", "--seeds", "0:2", "--pipeline", "algorithm1",
-                   "--quiet", "--out-agg", str(agg)])
+        plan = write_plan(tmp_path, cells=[{"n": 32, "m": 12, "k": 3}],
+                          seeds=[0, 1], pipeline="algorithm1")
+        rc = main(["bench", "--plan", plan, "--quiet", "--out-agg", str(agg)])
         assert rc == 1
         head, vals = read_rows(agg)
         at = dict(zip(head, vals))
@@ -313,10 +334,10 @@ class TestBench:
             assert at["warm_status"] == "converged"
 
     def test_empty_seed_list_fails(self, tmp_path, capsys):
-        rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
-                   "--k", "3", "--seeds", "", "--quiet"])
+        rc = main(["bench", "--plan", write_plan(tmp_path, seeds=[]),
+                   "--quiet"])
         assert rc == 1
-        assert "error" in capsys.readouterr().err
+        assert "plan needs at least one seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [
         {"cells": [{"n": "64", "m": 24, "k": 3}]},
@@ -328,7 +349,7 @@ class TestBench:
         {"seeds": ["7"]},
         {"seeds": 3},
         {"config": {"tol": "1e-6"}},
-        {"config": {"l_max": math.inf}},
+        {"config": {"tol": math.inf}},
         {"config": {"feas_tol": math.nan}},
         {"config": {"alpha": True}},
         {"config": {"max_outer_iters": 1.5}},
@@ -346,33 +367,13 @@ class TestBench:
 
     @pytest.mark.parametrize("doc", [5, [1], "plan", None])
     def test_plan_and_config_files_must_hold_objects(self, doc, tmp_path,
-                                                     cauchy_instance, capsys):
+                                                     capsys):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert main(["bench", "--plan", str(path)]) == 1
         assert "plan must be a JSON object" in capsys.readouterr().err
-        assert main(["solve", "--instance", str(cauchy_instance),
-                     "--config", str(path)]) == 1
-        assert "--config must be a JSON object" in capsys.readouterr().err
-
-    def test_inline_needs_all_family_params(self, capsys):
-        rc = main(["bench", "--family", "cauchy", "--n", "64", "--k", "3",
-                   "--quiet"])
-        assert rc == 1
-        assert "--m" in capsys.readouterr().err
-
-    def test_inline_seeds_default_to_0_20(self, monkeypatch):
-        plans = []
-
-        def capture(plan, **kwargs):
-            plans.append(plan)
-            raise RuntimeError("stop before running")
-
-        monkeypatch.setattr(cli, "run_bench_plan", capture)
-        rc = main(["bench", "--family", "cauchy", "--n", "64", "--m", "24",
-                   "--k", "3", "--quiet"])
-        assert rc == 1
-        assert plans[0].seeds == list(range(20))
+        assert main(["bench", "--plan", write_plan(tmp_path, config=doc)]) == 1
+        assert "plan config must be a JSON object" in capsys.readouterr().err
 
     def test_plan_with_malformed_second_cell_runs_nothing(self, tmp_path,
                                                           capsys):
@@ -472,11 +473,20 @@ class TestBench:
         ["--config", "cfg.json"],
     ])
     def test_plan_rejects_inline_plan_flags(self, flags, tmp_path, capsys):
-        rc = main(["bench", "--plan", write_plan(tmp_path), *flags])
+        # the plan file is bench's only input of what to run: a plan
+        # setting given as a flag is a usage error, and nothing runs
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--plan", write_plan(tmp_path), *flags])
         captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.err.startswith(f"error: --plan excludes {flags[0]}")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in captured.err
         assert captured.out == ""
+
+    def test_plan_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quiet"])
+        assert exc.value.code == 2
+        assert "--plan" in capsys.readouterr().err
 
     def test_plan_warm_tol_outside_two_stage_runs_nothing(self, tmp_path,
                                                           capsys):
@@ -499,12 +509,9 @@ class TestBench:
         assert "seed" not in capsys.readouterr().out
         assert len(read_rows(rows)) == 3 and len(read_rows(agg)) == 2
 
-    def test_config_file_with_record_trace_fails(self, cauchy_instance,
-                                                 tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"record_trace": False}))
-        rc = main(["solve", "--instance", str(cauchy_instance),
-                   "--config", str(cfg_path)])
+    def test_config_file_with_record_trace_fails(self, tmp_path, capsys):
+        rc = main(["bench", "--plan",
+                   write_plan(tmp_path, config={"record_trace": False})])
         assert rc == 1
         assert ("unknown solver config fields: ['record_trace']"
                 in capsys.readouterr().err)
@@ -548,11 +555,67 @@ class TestBenchPlan:
         with pytest.raises(ValueError, match="only to the two_stage"):
             self.plan(pipeline=pipeline, warm_tol=1e-3)
 
+    def test_config_that_is_not_a_solver_config_raises_at_construction(self):
+        with pytest.raises(ValueError, match="must be a SolverConfig"):
+            self.plan(config={"tol": 1e-6})
+
     def test_valid_plan_keeps_its_fields(self):
         plan = self.plan(seeds=[np.int64(2), 0], pipeline="two_stage",
                          warm_tol=1)
         assert plan.seeds == [2, 0] and plan.cells == [self.CELL]
         assert type(plan.warm_tol) is float
+
+
+# the paper's three acceptance plans, as tests/test_acceptance.py runs them
+_COMMITTED_PLANS = {
+    "robust_cs_ratio.json": (
+        "robust_cs", {"n": 2560, "p": 720, "k": 80, "iota": 10}, "mba_ratio",
+        SolverConfig(tol=1e-6, feas_tol=1e-13), None),
+    "cauchy_two_stage.json": (
+        "cauchy", {"n": 2560, "m": 720, "k": 80}, "two_stage",
+        SolverConfig(tol=1e-6, feas_tol=1e-13), 1e-6),
+    "badly_scaled_two_stage.json": (
+        "badly_scaled", {"n": 1024, "m": 64, "k": 8, "F": 5.0, "D": 2.0},
+        "two_stage", SolverConfig(tol=1e-8, feas_tol=1e-13), None),
+}
+
+
+class TestCommittedPlans:
+    def test_every_plan_file_is_pinned(self):
+        assert sorted(p.name for p in (ROOT / "plans").glob("*.json")) == \
+            sorted(_COMMITTED_PLANS)
+
+    @pytest.mark.parametrize("name", sorted(_COMMITTED_PLANS))
+    def test_plan_loads_as_pinned(self, name):
+        # load_plan checks every (cell, seed) pair without generating
+        family, cell, pipeline, config, warm_tol = _COMMITTED_PLANS[name]
+        plan = load_plan(ROOT / "plans" / name)
+        assert (plan.family, plan.cells, plan.pipeline) == (
+            family, [cell], pipeline)
+        assert plan.seeds == list(range(20))
+        assert plan.config == config
+        assert plan.warm_tol == warm_tol
+
+
+def readme_commands():
+    """Every sparseratio command of README's sh blocks, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("sparseratio "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert any(argv[0] == "bench" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command == "bench":
+            assert (ROOT / args.plan).is_file(), args.plan
 
 
 class TestRunPipeline:

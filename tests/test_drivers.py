@@ -1,6 +1,7 @@
 """Outer-loop drivers: step seeding, starts, both algorithms, criticality."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,11 +40,17 @@ from sparseratio import (
     run_algorithm1,
     run_mba,
 )
-from sparseratio.models import grad_p1, subgrad_p2
+from sparseratio.models import (
+    grad_p1,
+    is_feasible,
+    lorentzian_grad,
+    subgrad_p2,
+)
 from sparseratio.subsolvers import (
     BallProxSolution,
     least_norm_solution,
     prox_l1_ball,
+    soft_threshold,
 )
 
 from oracles import ratio_subdiff_distance_grid
@@ -75,9 +82,8 @@ def kkt_objective(x, g, q, lam):
     return total
 
 
-def bb_seed(d_x, d_g, l_prev, l_min=1e-8, l_max=1e8):
-    return drivers_module._bb_seed(np.array(d_x), np.array(d_g), l_prev,
-                                   l_min, l_max)
+def bb_seed(d_x, d_g, l_prev):
+    return drivers_module._bb_seed(np.array(d_x), np.array(d_g), l_prev)
 
 
 class TestBBInitStep:
@@ -101,18 +107,35 @@ class TestBBInitStep:
 class TestSolverConfig:
     @pytest.mark.parametrize("fields, message", [
         ({"alpha": 0.0}, "alpha must be positive"),
-        ({"l_min": 0.0}, "need 0 < l_min < l_max"),
-        ({"l_min": 2.0, "l_max": 1.0}, "need 0 < l_min < l_max"),
-        ({"l_min": 1e-300, "l_max": 1e300}, "must be finite"),
         ({"tol": 0.0}, "^tol must be positive"),
         ({"max_outer_iters": 0}, "max_outer_iters must be positive"),
         ({"feas_tol": -1e-12}, "feas_tol must be nonnegative"),
         ({"record_iterates": 1}, "record_iterates must be true or false"),
-    ], ids=["alpha", "l_min", "l_min_above_l_max", "l_ratio_overflows",
-            "tol", "max_outer_iters", "feas_tol", "record_iterates"])
+    ], ids=["alpha", "tol", "max_outer_iters", "feas_tol", "record_iterates"])
     def test_out_of_range_setting_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**fields)
+
+
+# each public range check is one scalar comparison that NaN fails, and
+# criticality_residual checks feas_tol as is_feasible checks its tol
+@pytest.mark.parametrize("call, message", [
+    (lambda m, x: lorentzian_norm([1.0], math.nan), "gamma must be positive"),
+    (lambda m, x: lorentzian_grad([1.0], math.nan), "gamma must be positive"),
+    (lambda m, x: soft_threshold([1.0, -2.0], math.nan),
+     "tau must be nonnegative"),
+    (lambda m, x: is_feasible(m, x, math.nan), "tol must be nonnegative"),
+    (lambda m, x: feasible_start(m, math.nan), "tol must be nonnegative"),
+    (lambda m, x: criticality_residual(m, x, math.nan),
+     "feas_tol must be nonnegative"),
+    (lambda m, x: criticality_residual(m, x, -1.0),
+     "feas_tol must be nonnegative"),
+], ids=["lorentzian_norm", "lorentzian_grad", "soft_threshold", "is_feasible",
+        "feasible_start", "criticality_residual_nan",
+        "criticality_residual_negative"])
+def test_nan_or_out_of_range_parameter_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(disk_model(), [1.0, 0.0])
 
 
 class TestFeasibleStart:
@@ -320,7 +343,8 @@ class TestRunMBA:
         assert all(q <= cfg.feas_tol for q in tr.q_vals)
         obj = tr.objective
         assert all(obj[t + 1] <= obj[t] + 1e-12 for t in range(T))
-        cap = int(np.ceil(np.log2(cfg.l_max * 2.0 / cfg.l_min)))
+        cap = int(np.ceil(np.log2(
+            drivers_module._L_MAX * 2.0 / drivers_module._L_MIN)))
         assert all(d <= cap for d in tr.inner_doublings)
         assert all(n > 0 for n in tr.x_norm)
         # sufficient descent, ratio form or plain-l1 form
@@ -433,7 +457,8 @@ class TestRunMBA:
         cfg = SolverConfig()
         with pytest.raises(InnerLoopError):
             run_mba(model, OBJECTIVE_RATIO, [1.0, 0.0], cfg)
-        cap = int(np.ceil(np.log2(cfg.l_max * 2.0 / cfg.l_min)))
+        cap = int(np.ceil(np.log2(
+            drivers_module._L_MAX * 2.0 / drivers_module._L_MIN)))
         assert len(calls) == cap + 1
 
 
@@ -447,7 +472,7 @@ def stretched_model():
 _X0 = (1.0, 0.5)
 
 
-def one_scripted_step(monkeypatch, trials, cfg=None, model=None, x0=_X0):
+def one_scripted_step(monkeypatch, trials, model=None, x0=_X0):
     """Trace of one run_mba step whose ball prox returns each point of
     ``trials`` in turn, then x0 itself (feasible, so the step ends)."""
     points = iter([*trials, x0])
@@ -458,7 +483,7 @@ def one_scripted_step(monkeypatch, trials, cfg=None, model=None, x0=_X0):
 
     monkeypatch.setattr(drivers_module, "prox_l1_ball", scripted)
     res = run_mba(model or stretched_model(), OBJECTIVE_RATIO, x0,
-                  cfg or SolverConfig(max_outer_iters=1))
+                  SolverConfig(max_outer_iters=1))
     return res.trace
 
 
@@ -522,11 +547,12 @@ class TestCurvatureJump:
         assert tr.inner_doublings == [7]
 
     def test_jump_past_cap_raises_before_another_solve(self, monkeypatch):
-        # cap = ceil(log2(2 l_max / l_min)) = 2, and the first trial asks
+        # cap = ceil(log2(2 _L_MAX / _L_MIN)) = 2, and the first trial asks
         # for i = 7
-        cfg = SolverConfig(l_min=0.5, l_max=1.0, max_outer_iters=1)
+        monkeypatch.setattr(drivers_module, "_L_MIN", 0.5)
+        monkeypatch.setattr(drivers_module, "_L_MAX", 1.0)
         with pytest.raises(InnerLoopError, match="after 7 curvature doublings"):
-            one_scripted_step(monkeypatch, [(2.0, 0.5)], cfg)
+            one_scripted_step(monkeypatch, [(2.0, 0.5)])
 
 
 class TestCriticalityResidual:
