@@ -66,7 +66,6 @@ from .drivers import (
     InfeasibleStartError,
     InnerLoopError,
     IterateTrace,
-    RunResult,
     SolverConfig,
     feasible_start,
     run_algorithm1,
@@ -81,6 +80,7 @@ from .instances import (
     FIELD_TYPES,
     GenSpec,
     ProblemInstance,
+    _json_object,
     _model_params,
     generate,
     load_instance,
@@ -377,34 +377,18 @@ def write_aggregate_csv(report: BenchReport, path):
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
-def _json_object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    return doc
-
-
-def _config_from_dict(doc: dict) -> SolverConfig:
-    unknown = set(doc) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-    return SolverConfig(**doc)
-
-
 def load_plan(path) -> BenchPlan:
     doc = _json_object(json.loads(Path(path).read_text(encoding="utf-8")),
-                       "plan")
-    unknown = set(doc) - {"family", "cells", "seeds", "pipeline", "config",
-                          "warm_tol"}
-    if unknown:
-        raise ValueError(f"unknown plan fields: {sorted(unknown)}")
+                       "plan", {"family", "cells", "seeds", "pipeline",
+                                "config", "warm_tol"})
     for key in ("family", "cells", "seeds", "pipeline"):
         if key not in doc:
             raise ValueError(f"plan is missing the {key!r} field")
     return BenchPlan(
         family=doc["family"], cells=doc["cells"],
         seeds=doc["seeds"], pipeline=doc["pipeline"],
-        config=_config_from_dict(_json_object(doc.get("config", {}),
-                                              "plan config")),
+        config=SolverConfig(**_json_object(doc.get("config", {}),
+                                           "plan config", _CONFIG_FIELDS)),
         warm_tol=doc.get("warm_tol"))
 
 
@@ -438,10 +422,7 @@ def _print_instance_summary(inst: ProblemInstance, dest: str | None):
 
 def _cmd_gen(args) -> int:
     family = args.family.replace("-", "_")
-    # unset optional flags fall through to the GenSpec defaults
-    params = {name: getattr(args, name)
-              for name in (*FAMILY_PARAMS[family], "gamma", "sigma_factor")
-              if getattr(args, name, None) is not None}
+    params = {name: getattr(args, name) for name in FAMILY_PARAMS[family]}
     inst = generate(GenSpec(family=family, seed=args.seed, **params))
     if args.out:
         save_instance(inst, args.out)
@@ -492,7 +473,8 @@ def _cmd_solve(args) -> int:
         payload = {
             "run_config": {"pipeline": args.pipeline,
                            "warm_tol": args.warm_tol,
-                           **dataclasses.asdict(cfg)},
+                           **{name: getattr(cfg, name)
+                              for name in _SOLVER_FLAGS}},
             "status": pres.status,
             "metrics": metrics,
             "x_final": pres.x_final.tolist(),
@@ -643,11 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in params:
             sp.add_argument(f"--{name}", type=FIELD_TYPES[name], required=True,
                             help=_PARAM_HELP.get(name))
-        if family == FAMILY_CAUCHY:
-            sp.add_argument("--gamma", type=float, default=None)
         sp.add_argument("--seed", type=int, required=True)
-        sp.add_argument("--sigma-factor", type=float, default=None,
-                        dest="sigma_factor")
         sp.add_argument("--out", default=None, help="instance file to write")
         sp.set_defaults(func=_cmd_gen)
 

@@ -26,7 +26,7 @@ without a copy: the model's ``A.entries`` is that array.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +72,13 @@ FAMILIES = tuple(FAMILY_PARAMS)
 # the type of each numeric GenSpec field; each must be positive except
 # those in _MAY_BE_ZERO
 FIELD_TYPES = {"n": int, "k": int, "seed": int, "m": int, "p": int,
-               "iota": int, "r": int, "gamma": float, "F": float,
-               "D": float, "sigma_factor": float}
-_MAY_BE_ZERO = ("seed", "iota", "r", "D")
+               "iota": int, "F": float, "D": float}
+_MAY_BE_ZERO = ("seed", "iota", "D")
+
+# the recipe constants: each budget sigma is _SIGMA_FACTOR times the realized
+# noise magnitude, and the cauchy Lorentzian scale is _CAUCHY_GAMMA
+_SIGMA_FACTOR = 1.2
+_CAUCHY_GAMMA = 0.02
 
 # substream ids hashed together with the seed
 _STREAM_MATRIX = 0
@@ -87,14 +91,11 @@ _MAX_RANK_RETRIES = 10
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Family name plus every parameter needed to regenerate an instance.
+    """Family name, seed and the family's FAMILY_PARAMS: all a generator
+    reads, the rest of its recipe being the module's constants.
 
     Fields not used by a family must stay None, so no spec names a value
-    that generate ignores. sigma_factor scales the realized noise magnitude
-    into the constraint budget sigma. Two fields are filled in here when
-    left out: gamma, the cauchy Lorentzian scale, is 0.02, and r, the
-    robust_cs outlier budget, follows from iota as 2 * iota; a given r must
-    be that value.
+    that generate ignores.
     Every numeric field is checked for its type and sign here, and
     integral and real values are stored as int and float, so malformed
     parameters raise ValueError before any instance is drawn; so does a
@@ -109,11 +110,8 @@ class GenSpec:
     m: int | None = None
     p: int | None = None
     iota: int | None = None
-    r: int | None = None
-    gamma: float | None = None
     F: float | None = None
     D: float | None = None
-    sigma_factor: float = 1.2
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -127,24 +125,15 @@ class GenSpec:
                 sign = "nonnegative" if name in _MAY_BE_ZERO else "positive"
                 raise ValueError(f"{name} must be {sign}, got {value!r}")
             object.__setattr__(self, name, value)
-        missing = [name for name in ("seed", "sigma_factor",
-                                     *FAMILY_PARAMS[self.family])
-                   if getattr(self, name) is None]
+        used = ("seed", *FAMILY_PARAMS[self.family])
+        missing = [name for name in used if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{self.family} needs {', '.join(missing)}")
         unused = [name for name in FIELD_TYPES
-                  if getattr(self, name) is not None
-                  and name not in (*FAMILY_PARAMS[self.family], "seed",
-                                   "sigma_factor", "gamma", "r")]
+                  if getattr(self, name) is not None and name not in used]
         if unused:
             raise ValueError(f"{self.family} does not use "
                              f"{', '.join(unused)}")
-        if self.gamma is not None and self.family != FAMILY_CAUCHY:
-            raise ValueError("gamma applies only to the cauchy family")
-        if self.r is not None and (self.family != FAMILY_ROBUST_CS
-                                   or self.r != 2 * self.iota):
-            raise ValueError(f"r applies only to robust_cs, as 2 * iota, "
-                             f"got {self.r!r}")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
         rows = (self.p + self.iota if self.family == FAMILY_ROBUST_CS
@@ -152,10 +141,6 @@ class GenSpec:
         if rows > self.n:
             raise ValueError(f"the {rows} rows of A must not exceed n = "
                              f"{self.n}")
-        if self.family == FAMILY_CAUCHY and self.gamma is None:
-            object.__setattr__(self, "gamma", 0.02)
-        if self.family == FAMILY_ROBUST_CS:
-            object.__setattr__(self, "r", 2 * self.iota)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +186,8 @@ def _robust_cs(spec: GenSpec) -> ProblemInstance:
 
     b = A x_orig - z + 0.01 eps, where z carries the outliers (magnitude 2,
     random signs, confined to the last iota rows) and eps is standard
-    normal. The outlier budget is r = 2 iota and sigma = sigma_factor *
-    ||0.01 eps||.
+    normal. The outlier budget is r = 2 iota and sigma = _SIGMA_FACTOR
+    (1.2) * ||0.01 eps||.
     """
     p, iota = spec.p, spec.iota
     m = p + iota
@@ -216,16 +201,17 @@ def _robust_cs(spec: GenSpec) -> ProblemInstance:
     eps = rng_noise.standard_normal(m)
     small = 0.01 * eps
     b = A @ x_orig - z + small
-    sigma = spec.sigma_factor * float(np.linalg.norm(small))
-    model = RobustCS(SensingMatrix(A), b, sigma, spec.r)
+    sigma = _SIGMA_FACTOR * float(np.linalg.norm(small))
+    model = RobustCS(SensingMatrix(A), b, sigma, 2 * iota)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"z": z, "epsilon": eps})
 
 
 def _cauchy(spec: GenSpec) -> ProblemInstance:
     """Sparse recovery under heavy-tailed noise: eps_i = tan(pi (u_i - 1/2))
-    with u_i uniform on (0, 1), i.e. standard Cauchy. The budget is
-    sigma_factor times the Lorentzian norm of the realized 0.01 eps."""
+    with u_i uniform on (0, 1), i.e. standard Cauchy. The Lorentzian scale
+    is gamma = _CAUCHY_GAMMA (0.02), and the budget is sigma = _SIGMA_FACTOR
+    (1.2) times the Lorentzian norm of the realized 0.01 eps."""
     m = spec.m
     A, x_orig = _gaussian_recipe(spec, m)
 
@@ -239,8 +225,8 @@ def _cauchy(spec: GenSpec) -> ProblemInstance:
     eps = np.tan(np.pi * (u - 0.5))
     small = 0.01 * eps
     b = A @ x_orig + small
-    sigma = spec.sigma_factor * lorentzian_norm(small, spec.gamma)
-    model = Lorentzian(SensingMatrix(A), b, sigma, spec.gamma)
+    sigma = _SIGMA_FACTOR * lorentzian_norm(small, _CAUCHY_GAMMA)
+    model = Lorentzian(SensingMatrix(A), b, sigma, _CAUCHY_GAMMA)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"epsilon": eps})
 
@@ -249,7 +235,9 @@ def _badly_scaled(spec: GenSpec) -> ProblemInstance:
     """Cosine rows, unnormalized columns, signal magnitudes across D decades.
 
     A_{ij} = cos(2 pi w_i j / F) / sqrt(m) with w uniform on [0, 1]^m and
-    1-indexed j. Nonzero signal entries are sign * 10^(D * u). If
+    1-indexed j. Nonzero signal entries are sign * 10^(D * u), and
+    b = A x_orig + 0.01 eps with eps standard normal, under the budget
+    sigma = _SIGMA_FACTOR (1.2) * ||0.01 eps||. If
     SensingMatrix rejects the drawn matrix as rank deficient, a fresh
     frequency vector is drawn (up to 10 attempts).
     """
@@ -281,7 +269,7 @@ def _badly_scaled(spec: GenSpec) -> ProblemInstance:
     eps = _rng(seed, _STREAM_NOISE).standard_normal(m)
     small = 0.01 * eps
     b = A_mat.entries @ x_orig + small
-    sigma = spec.sigma_factor * float(np.linalg.norm(small))
+    sigma = _SIGMA_FACTOR * float(np.linalg.norm(small))
     model = LeastSquares(A_mat, b, sigma)
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record={"epsilon": eps, "w": w})
@@ -329,11 +317,22 @@ def _model_params(model: ConstraintModel) -> dict:
 
 
 def _model_from_params(params: dict, A: SensingMatrix, b: np.ndarray) -> ConstraintModel:
-    cls = _MODEL_VARIANTS.get(params["variant"])
+    variant = params["variant"]
+    cls = _MODEL_VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
-        raise ValueError(f"unknown model variant {params['variant']!r}")
+        raise ValueError(f"unknown model variant {variant!r}")
     return cls(A, b, params["sigma"],
                *(params[name] for name in cls.__slots__))
+
+
+def _json_object(doc, what: str, known: set) -> dict:
+    """doc itself, checked to be a JSON object with no key outside known."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = doc.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return doc
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
@@ -359,7 +358,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     b = np.array(doc["b"], dtype=float)
     model = _model_from_params(doc["model"], A, b)
     x_orig = _as_vector(doc["x_orig"], A.n, "x_orig")
-    spec = GenSpec(**doc["gen_spec"])
+    # a file written when GenSpec had more fields fails here, naming them
+    spec = GenSpec(**_json_object(doc["gen_spec"], "gen_spec",
+                                  {f.name for f in fields(GenSpec)}))
     noise = {k: _as_vector(v, None, f"noise_record[{k!r}]")
              for k, v in doc["noise_record"].items()}
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,

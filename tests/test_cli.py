@@ -88,24 +88,30 @@ class TestGen:
          {"family": "robust_cs", "n": 96, "p": 30, "k": 4, "iota": 3}),
         (["cauchy", "--n", "96", "--m", "30", "--k", "4"],
          {"family": "cauchy", "n": 96, "m": 30, "k": 4}),
-        (["cauchy", "--n", "96", "--m", "30", "--k", "4", "--gamma", "0.05"],
-         {"family": "cauchy", "n": 96, "m": 30, "k": 4, "gamma": 0.05}),
         (["badly-scaled", "--n", "96", "--m", "20", "--k", "4", "--F", "5",
           "--D", "2"],
          {"family": "badly_scaled", "n": 96, "m": 20, "k": 4, "F": 5.0,
           "D": 2.0}),
     ])
-    @pytest.mark.parametrize("sigma_factor", [None, "1.7"])
-    def test_written_file_matches_generate(self, argv, spec, sigma_factor,
-                                           tmp_path):
+    def test_written_file_matches_generate(self, argv, spec, tmp_path):
         out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
-        extra = ["--sigma-factor", sigma_factor] if sigma_factor else []
-        rc = main(["gen", *argv, "--seed", "5", *extra, "--out", str(out)])
+        rc = main(["gen", *argv, "--seed", "5", "--out", str(out)])
         assert rc == 0
-        if sigma_factor:
-            spec = {**spec, "sigma_factor": float(sigma_factor)}
         save_instance(generate(GenSpec(seed=5, **spec)), ref)
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--gamma", "0.05"],
+                                      ["--sigma-factor", "1.7"]])
+    def test_recipe_constant_flag_is_usage_error(self, flag, tmp_path,
+                                                 capsys):
+        # gamma and sigma_factor are constants of the generators
+        out = tmp_path / "inst.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "cauchy", "--n", "96", "--m", "30", "--k", "4",
+                  "--seed", "5", *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -191,8 +197,9 @@ class TestSolve:
         rc = main(["solve", "--instance", str(cauchy_instance), *flags,
                    "--out", str(out)])
         assert rc == 0
-        run_config = load_result(out)["run_config"]
-        assert {name: run_config[name] for name in values} == values
+        # run_config holds solve's own settings and nothing else
+        assert load_result(out)["run_config"] == {
+            "pipeline": "mba_ratio", "warm_tol": None, **values}
 
     @pytest.mark.parametrize("flag", ["--config", "--l-min", "--l-max"])
     def test_removed_setting_flag_is_usage_error(self, flag, cauchy_instance,
@@ -513,7 +520,7 @@ class TestBench:
         rc = main(["bench", "--plan",
                    write_plan(tmp_path, config={"record_trace": False})])
         assert rc == 1
-        assert ("unknown solver config fields: ['record_trace']"
+        assert ("unknown plan config fields: ['record_trace']"
                 in capsys.readouterr().err)
 
 
@@ -683,7 +690,7 @@ class TestCheck:
         assert main(["gen", "robust-cs", "--n", "64", "--p", "20", "--k", "3",
                      "--iota", "2", "--seed", "1", "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert doc["model"]["r"] == doc["gen_spec"]["r"] == 4
+        assert doc["model"]["r"] == 4
         doc["model"]["r"] = 5
         path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -724,6 +731,10 @@ _FAULTS = {
        for token in ["NaN", "-Infinity", "1e400"]},
     "short-x_orig": _edit(lambda doc: doc["x_orig"].pop()),
     "unknown-variant": _edit(lambda doc: doc["model"].update(variant="huber")),
+    "list-variant": _edit(lambda doc: doc["model"].update(variant=["huber"])),
+    "unknown-gen_spec-field": _edit(lambda doc: doc["gen_spec"].update(
+        sigma_factor=1.2)),
+    "list-gen_spec": _edit(lambda doc: doc.update(gen_spec=[1])),
     "unknown-format": _edit(lambda doc: doc.update(format_version=99)),
 }
 

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sparseratio.instances import (
     _STREAM_MATRIX,
+    FAMILY_PARAMS,
+    FIELD_TYPES,
     GenSpec,
     _model_params,
     _rng,
@@ -220,14 +223,6 @@ class TestGenerateDispatch:
         assert inst.gen_spec == spec
         assert instance_digest(inst) == digest
 
-    def test_spec_fills_in_gamma_on_cauchy_only(self):
-        cauchy = GenSpec(family="cauchy", n=32, m=12, k=3, seed=5)
-        assert cauchy == GenSpec(family="cauchy", n=32, m=12, k=3, seed=5,
-                                 gamma=0.02)
-        bad = GenSpec(family="badly_scaled", n=32, m=12, k=3, F=5.0, D=1.0,
-                      seed=5)
-        assert bad.gamma is None and bad.r is None
-
     def test_round_trips_gen_spec(self):
         originals = [
             generate(GenSpec(family="robust_cs", n=64, p=20, k=4, iota=2,
@@ -255,40 +250,29 @@ class TestGenerateDispatch:
             GenSpec(family="cauchy", n=8, k=2, seed=-1, m=4)
         # malformed types, as a hand-written bench plan may carry them
         for bad in ({"n": "64"}, {"n": 64.0}, {"n": True}, {"k": 3.5},
-                    {"m": None}, {"seed": 1.0},
-                    {"gamma": float("inf")}, {"gamma": "0.02"},
-                    {"sigma_factor": float("nan")}, {"sigma_factor": True},
-                    {"sigma_factor": 0.0}, {"gamma": -1.0}):
+                    {"m": None}, {"seed": 1.0}):
             with pytest.raises(ValueError):
                 GenSpec(**{"family": "cauchy", "n": 8, "k": 2, "seed": 0,
                            "m": 4, **bad})
         with pytest.raises(ValueError):
             GenSpec(family="badly_scaled", n=8, k=2, seed=0, m=4, F=5.0,
                     D=float("-inf"))
-        with pytest.raises(ValueError):
-            GenSpec(family="robust_cs", n=8, k=2, seed=0, p=4, iota=1,
-                    gamma=0.02)
         spec = GenSpec(family="badly_scaled", n=np.int64(8), k=2, seed=0,
                        m=4, F=5, D=0)
         assert type(spec.n) is int and type(spec.F) is float
 
     def test_gen_spec_r_is_twice_iota_on_robust_cs_only(self):
-        base = {"n": 8, "k": 2, "seed": 0}
-        robust = {"family": "robust_cs", "p": 4, "iota": 2, **base}
-        for bad in ({**robust, "r": 7}, {**robust, "r": 2},
-                    {**robust, "iota": 0, "r": 1},
-                    {"family": "cauchy", "m": 4, "r": 0, **base},
-                    {"family": "badly_scaled", "m": 4, "F": 5.0, "D": 1.0,
-                     "r": 4, **base}):
-            with pytest.raises(ValueError, match="r applies only"):
-                GenSpec(**bad)
-        assert GenSpec(**robust, r=np.int64(4)).r == 4
-        assert GenSpec(**{**robust, "iota": 0}, r=0).r == 0
-        assert GenSpec(**robust).r == 4
         inst = generate(GenSpec(family="robust_cs", n=64, p=20, k=4, iota=3,
                                 seed=5))
-        assert inst.gen_spec.r == inst.model.r == 6
+        assert inst.model.r == 6
 
+    def test_every_gen_spec_field_is_a_family_parameter(self):
+        # GenSpec holds a family, a seed and the family's parameters only;
+        # the rest of each recipe is constants of the generators
+        names = {f.name for f in fields(GenSpec)}
+        assert names - {"family", "seed"} <= set().union(
+            *FAMILY_PARAMS.values())
+        assert set(FIELD_TYPES) == names - {"family"}
 
     @pytest.mark.parametrize("family, params, unused", [
         ("robust_cs", {"p": 4, "iota": 1}, {"m": 5000, "F": 3.0, "D": 2.0}),
@@ -363,6 +347,26 @@ class TestPersistence:
         inst = generate(GenSpec(family="cauchy", n=32, m=12, k=3, seed=5))
         again = instance_from_dict(instance_to_dict(inst))
         assert instances_equal(inst, again)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["gen_spec"].update(bogus=1),
+         r"unknown gen_spec fields: \['bogus'\]"),
+        # the gen_spec of a file written when GenSpec had these fields
+        (lambda doc: doc["gen_spec"].update(r=None, gamma=0.02,
+                                            sigma_factor=1.2),
+         r"unknown gen_spec fields: \['gamma', 'r', 'sigma_factor'\]"),
+        (lambda doc: doc.update(gen_spec=[["n", 32]]),
+         "gen_spec must be a JSON object"),
+        (lambda doc: doc["model"].update(variant=["lorentzian"]),
+         r"unknown model variant \['lorentzian'\]"),
+    ], ids=["unknown-field", "written-with-recipe-fields", "list-gen_spec",
+            "list-variant"])
+    def test_malformed_gen_spec_or_variant_rejected(self, change, message):
+        doc = instance_to_dict(generate(GenSpec(family="cauchy", n=32, m=12,
+                                                k=3, seed=5)))
+        change(doc)
+        with pytest.raises(ValueError, match=message):
+            instance_from_dict(doc)
 
     def test_unknown_format_version_rejected(self):
         doc = instance_to_dict(generate(GenSpec(family="cauchy", n=32, m=12,
