@@ -20,6 +20,16 @@ A run is converged once ||x_{t+1} - x_t|| <= tol * max(||x_{t+1}||, 1). It
 ends as max_iters after max_outer_iters steps, and as subsolver_failure when
 a step's prox raises SubsolverError.
 
+Inputs are checked where a run starts (SolverConfig, the start point, the
+model), not on each trial. ``run_mba`` hands the ball prox unchecked
+problems (subsolvers._ball_problem) instead of public BallProxProblems, whose
+constructor checks every array; in place of those checks it tests scalars.
+The ratio center's coefficient 1 + omega_t/(alpha ||x_t||) is tested once
+per step (its product with ||x_t|| must be finite, which bounds c_t), and
+each trial's squared radius R once per trial (finite, which bounds
+s = x_t - xi/l). A failed test raises SubsolverError, so such a run ends
+as subsolver_failure at its last accepted iterate.
+
 A ratio run of ``run_mba`` closes with ``criticality_residual``: the
 distance of its final iterate to the KKT system 0 in subdiff(||x||_1/||x||)
 + lambda (grad P1 - subgrad P2), lambda >= 0, lambda q(x) = 0, minimized
@@ -43,6 +53,7 @@ from .models import (
     _full_norm,
     _grad_p1_of_residual,
     _p1_curvature,
+    _p2_is_zero,
     _q_of_residual,
     _residual,
     _subgrad_p2_of_residual,
@@ -52,8 +63,9 @@ from .models import (
     subgrad_p2,  # unused here; perfbench/tracer.py swaps drivers.subgrad_p2
 )
 from .subsolvers import (
-    BallProxProblem,
+    BallProxProblem,  # unused here; perfbench/tracer.py swaps it
     SubsolverError,
+    _ball_problem,
     _dual_step,
     least_norm_solution,
     prox_l1_affine,
@@ -195,9 +207,23 @@ class RunResult:
     trace: IterateTrace
 
 
-def _ratio(x: np.ndarray, nx: float) -> float:
-    """||x||_1 / ||x|| with the norm nx = ||x|| already computed."""
-    return float(np.abs(x).sum() / nx)
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float64 vector, as np.linalg.norm computes it (the
+    square root of v @ v), without its dispatch."""
+    return math.sqrt(float(v @ v))
+
+
+def _clarke_element(model: ConstraintModel, res: np.ndarray,
+                    p2_zero: bool) -> np.ndarray:
+    """grad P1 - subgrad P2 at the residual res = Ax - b.
+
+    Where P2 = 0 (p2_zero, see models._p2_is_zero) the zero subgradient is
+    neither formed nor subtracted: xi - 0 is xi bit for bit.
+    """
+    xi = _grad_p1_of_residual(model, res)
+    if not p2_zero:
+        xi -= _subgrad_p2_of_residual(model, res)
+    return xi
 
 
 def _bb_seed(d_x: np.ndarray, d_g: np.ndarray, l_prev: float) -> float:
@@ -239,9 +265,10 @@ def _prox_loop(x: np.ndarray, ratio_objective: bool, cfg: SolverConfig,
     the set has no q (q0 is then None too, and q_vals stay empty); it may
     append its own per-step entries to trace. criticality_residual is None.
     """
-    nx = float(np.linalg.norm(x))
-    omega = _ratio(x, nx)
-    obj_val = omega if ratio_objective else float(np.abs(x).sum())
+    nx = _norm(x)
+    l1 = float(np.abs(x).sum())
+    omega = l1 / nx
+    obj_val = omega if ratio_objective else l1
     trace = IterateTrace(iterates=[] if cfg.record_iterates else None)
     trace.record(x, omega, obj_val, nx, q0)
 
@@ -249,17 +276,26 @@ def _prox_loop(x: np.ndarray, ratio_objective: bool, cfg: SolverConfig,
     iterations = 0
     for t in range(cfg.max_outer_iters):
         t_start = time.perf_counter()
-        c = (1.0 + omega / (cfg.alpha * nx)) * x if ratio_objective else x
         try:
+            c = x
+            if ratio_objective:
+                coef = 1.0 + omega / (cfg.alpha * nx)
+                # every |c_i| is at most coef * nx, so c is finite with it
+                if not math.isfinite(coef * nx):
+                    raise SubsolverError(
+                        f"prox center overflowed: coefficient {coef:.3e} "
+                        f"at ||x|| = {nx:.3e}")
+                c = coef * x
             x_new, q = step(x, c, trace)
         except SubsolverError:
             status = STATUS_SUBSOLVER_FAILURE
             break
-        step_norm = float(np.linalg.norm(x_new - x))
+        step_norm = _norm(x_new - x)
         x = x_new
-        nx = float(np.linalg.norm(x))
-        omega = _ratio(x, nx)
-        obj_val = omega if ratio_objective else float(np.abs(x).sum())
+        nx = _norm(x)
+        l1 = float(np.abs(x).sum())
+        omega = l1 / nx
+        obj_val = omega if ratio_objective else l1
         iterations = t + 1
         trace.record(x, omega, obj_val, nx, q)
         trace.step_norm.append(step_norm)
@@ -340,24 +376,36 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     # before l can sweep the whole [_L_MIN, 2 _L_MAX] range
     doubling_cap = math.ceil(math.log2(_L_MAX * 2.0 / _L_MIN))
     curvature = _p1_curvature(model)
+    p2_zero = _p2_is_zero(model)
     x_prev = xi_prev = None
     l = 1.0
 
     def step(x, c, trace):
         nonlocal res, qx, x_prev, xi_prev, l
-        xi = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
-        # the previous accepted curvature seeds the Barzilai-Borwein fallback
-        if x_prev is not None:
-            l = _bb_seed(x - x_prev, xi - xi_prev, l)
-        xi_sq = float(xi @ xi)
+        xi = _clarke_element(model, res, p2_zero)
+        # an xi too large to square overflows these products quietly: the
+        # seed clips, and the radius guard below ends the run
+        with np.errstate(over="ignore"):
+            # the previous accepted curvature seeds the Barzilai-Borwein
+            # fallback
+            if x_prev is not None:
+                l = _bb_seed(x - x_prev, xi - xi_prev, l)
+            xi_sq = float(xi @ xi)
         doublings = 0
         while True:
-            s = x - xi / l
             # q(x) can sit in (0, feas_tol], pushing the exact radius a
             # hair below zero; the ball is then the single point s
             R = max(xi_sq / (l * l) - 2.0 * qx / l, 0.0)
-            sol = prox_l1_ball(BallProxProblem(c=c, s=s, R=R, alpha=cfg.alpha))
-            res_new = A @ sol.x - model.b
+            # a finite R bounds ||xi / l||, so s is finite too (x is);
+            # a NaN or infinite xi leaves R NaN or infinite
+            if not math.isfinite(R):
+                raise SubsolverError(
+                    f"moving ball overflowed: squared radius {R!r} at "
+                    f"l = {l:.3e}")
+            s = x - xi / l
+            sol = prox_l1_ball(_ball_problem(c, s, R, cfg.alpha))
+            res_new = A @ sol.x
+            res_new -= model.b
             q_new = _q_of_residual(model, res_new)
             if q_new <= cfg.feas_tol:
                 break
@@ -441,5 +489,5 @@ def criticality_residual(model: ConstraintModel, x,
     qx = _q_of_residual(model, res)
     if qx > feas_tol:
         raise ValueError(f"x is infeasible: q(x) = {qx:.3e} > {feas_tol:.3e}")
-    g = _grad_p1_of_residual(model, res) - _subgrad_p2_of_residual(model, res)
+    g = _clarke_element(model, res, _p2_is_zero(model))
     return _kkt_residual(x, g, qx)[0]

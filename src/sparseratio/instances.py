@@ -79,6 +79,9 @@ _MAY_BE_ZERO = ("seed", "iota", "D")
 # noise magnitude, and the cauchy Lorentzian scale is _CAUCHY_GAMMA
 _SIGMA_FACTOR = 1.2
 _CAUCHY_GAMMA = 0.02
+# rows per block of squares in _unit_column_gaussian, which bounds its
+# temporary at 64 x n
+_NORM_BLOCK_ROWS = 64
 
 # substream ids hashed together with the seed
 _STREAM_MATRIX = 0
@@ -157,11 +160,19 @@ def _rng(seed: int, *stream) -> np.random.Generator:
 
 def _unit_column_gaussian(m: int, n: int, seed: int) -> np.ndarray:
     A = _rng(seed, _STREAM_MATRIX).standard_normal((m, n))
-    # the squared column norms summed row by row: the order, and so the
-    # bits, of np.linalg.norm(A, axis=0), without its m-by-n temporary
-    sq = A[0] * A[0]
-    for row in A[1:]:
-        sq += row * row
+    # The squared column norms, summed row by row: the order, and so the
+    # bits, of np.linalg.norm(A, axis=0), without its m-by-n temporary.
+    # np.add.reduce over axis 0 adds the rows of a block in turn (for
+    # n >= 2; a single column, which needs m = 1 anyway, is summed
+    # pairwise), and the running sum is added into the first row of each
+    # block's squares, so the order holds across blocks.
+    sq = None
+    for start in range(0, m, _NORM_BLOCK_ROWS):
+        block = A[start:start + _NORM_BLOCK_ROWS]
+        block = block * block
+        if sq is not None:
+            block[0] += sq
+        sq = np.add.reduce(block, axis=0)
     A /= np.sqrt(sq)
     A.flags.writeable = False
     return A

@@ -233,16 +233,32 @@ def lorentzian_norm(y, gamma: float) -> float:
     """sum_i log(1 + y_i^2 / gamma^2); zero iff y = 0. Not a true norm."""
     if not gamma > 0:  # a NaN gamma fails too
         raise ValueError("gamma must be positive")
-    y = np.asarray(y, dtype=float)
-    return float(np.log1p((y / gamma) ** 2).sum())
+    return _lorentzian_log_sum(np.asarray(y, dtype=float), gamma)
 
 
 def lorentzian_grad(y, gamma: float) -> np.ndarray:
     """Gradient of lorentzian_norm: component i is 2 y_i / (gamma^2 + y_i^2)."""
     if not gamma > 0:  # a NaN gamma fails too
         raise ValueError("gamma must be positive")
-    y = np.asarray(y, dtype=float)
-    return 2.0 * y / (gamma * gamma + y * y)
+    return _lorentzian_grad(np.asarray(y, dtype=float), gamma)
+
+
+# The unchecked forms of the two functions above, for a float64 array y and
+# a gamma > 0 already checked (Lorentzian checks it once, at construction).
+# Each applies the same ufuncs in the same order, with fewer temporaries.
+
+def _lorentzian_log_sum(y: np.ndarray, gamma: float) -> float:
+    t = y / gamma
+    t *= t
+    return float(np.log1p(t).sum())
+
+
+def _lorentzian_grad(y: np.ndarray, gamma: float) -> np.ndarray:
+    den = y * y
+    den += gamma * gamma
+    g = 2.0 * y
+    g /= den
+    return g
 
 
 def _sparse_keep(y: np.ndarray, r: int) -> np.ndarray:
@@ -365,7 +381,9 @@ def _check_x(model: ConstraintModel, x) -> np.ndarray:
 
 
 def _residual(model: ConstraintModel, x: np.ndarray) -> np.ndarray:
-    return model.A.entries @ x - model.b
+    res = model.A.entries @ x
+    res -= model.b
+    return res
 
 
 # Residual-space helpers. The drivers call these to avoid recomputing
@@ -375,7 +393,7 @@ def _q_of_residual(model: ConstraintModel, res: np.ndarray) -> float:
     if isinstance(model, LeastSquares):
         return float(res @ res - model.sigma * model.sigma)
     if isinstance(model, Lorentzian):
-        return lorentzian_norm(res, model.gamma) - model.sigma
+        return _lorentzian_log_sum(res, model.gamma) - model.sigma
     if isinstance(model, RobustCS):
         return dist_sq_sparse(res, model.r) - model.sigma * model.sigma
     raise TypeError(f"unknown constraint model {type(model).__name__}")
@@ -383,9 +401,11 @@ def _q_of_residual(model: ConstraintModel, res: np.ndarray) -> float:
 
 def _grad_p1_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
     if isinstance(model, (LeastSquares, RobustCS)):
-        return 2.0 * (model.A.entries.T @ res)
+        g = model.A.entries.T @ res
+        g *= 2.0
+        return g
     if isinstance(model, Lorentzian):
-        return model.A.entries.T @ lorentzian_grad(res, model.gamma)
+        return model.A.entries.T @ _lorentzian_grad(res, model.gamma)
     raise TypeError(f"unknown constraint model {type(model).__name__}")
 
 
@@ -396,6 +416,16 @@ def _subgrad_p2_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarr
         return 2.0 * (res[keep] @ model.A.entries[keep])
     if isinstance(model, (LeastSquares, Lorentzian)):
         return np.zeros(model.A.n)
+    raise TypeError(f"unknown constraint model {type(model).__name__}")
+
+
+def _p2_is_zero(model: ConstraintModel) -> bool:
+    """True where P2 = 0 (LeastSquares, Lorentzian): q = P1 there, and the
+    drivers neither form nor subtract the zero subgradient."""
+    if isinstance(model, RobustCS):
+        return False
+    if isinstance(model, (LeastSquares, Lorentzian)):
+        return True
     raise TypeError(f"unknown constraint model {type(model).__name__}")
 
 

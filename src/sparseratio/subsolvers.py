@@ -64,7 +64,14 @@ def soft_threshold(v, tau: float) -> np.ndarray:
     if not tau >= 0:  # a NaN tau fails too
         raise ValueError("tau must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    # the ufuncs of the formula, in its order, written into one array; a
+    # scalar v is taken as a vector of one, as np.abs of a 0-d array returns
+    # a scalar, which takes no writes
+    out = np.abs(v if v.ndim else v.reshape(1))
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    np.multiply(np.sign(v), out, out=out)
+    return out if v.ndim else out[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +79,11 @@ class BallProxProblem:
     """min ||x||_1 + alpha/2 ||x - c||^2  subject to  ||x - s||^2 <= R.
 
     R is the squared radius. The feasible set must be nonempty (R >= 0).
+    The constructor checks every field: c and s must be finite 1-D vectors
+    of one nonempty length, R finite and nonnegative, alpha finite and
+    positive; ValueError otherwise. drivers.run_mba builds its trial
+    problems with _ball_problem instead, which runs none of these checks:
+    the driver guards its data with scalar tests once per step.
     """
 
     c: np.ndarray
@@ -97,6 +109,17 @@ class BallProxProblem:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
+def _ball_problem(c: np.ndarray, s: np.ndarray, R: float,
+                  alpha: float) -> BallProxProblem:
+    """A BallProxProblem of fields the caller has already checked: float64
+    vectors c and s of one length and floats R and alpha, all finite, with
+    R >= 0 and alpha > 0. Nothing is checked or converted here."""
+    p = object.__new__(BallProxProblem)
+    # a frozen dataclass refuses setattr; its __dict__ is written directly
+    p.__dict__.update(c=c, s=s, R=R, alpha=alpha)
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class BallProxSolution:
     """Solution of a BallProxProblem.
@@ -112,14 +135,20 @@ class BallProxSolution:
 
 
 def _ball_x_of_mu(c, s, alpha, mu):
-    return soft_threshold((alpha * c + mu * s) / (alpha + mu), 1.0 / (alpha + mu))
+    """soft_threshold((alpha c + mu s) / (alpha + mu), 1 / (alpha + mu))."""
+    v = alpha * c
+    v += mu * s
+    v /= alpha + mu
+    return soft_threshold(v, 1.0 / (alpha + mu))
 
 
 def _segment_sums(active, sigma, u, s) -> tuple[float, float]:
     """N = sum of (u_i - sigma_i)^2 over active i, S = sum of s_i^2 over
     the rest."""
-    w = (u - sigma) * active
-    z = s * ~active
+    w = u - sigma
+    w *= active
+    # s * ~active up to the sign of its zeros, which squares away
+    z = np.where(active, 0.0, s)
     return float(w @ w), float(z @ z)
 
 
@@ -152,13 +181,15 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     ends at the first dropped breakpoint.
     """
     a = alpha * c
-    u = a - alpha * s
+    u = alpha * s  # then a - alpha s, written over it
+    np.subtract(a, u, out=u)
     sgn = np.sign(s)
     sigma0 = np.sign(a)
     t = sgn * a
     # the state just right of mu = 0: a coordinate with |alpha c_i| = 1
     # turns active at once if alpha c_i + mu s_i grows in magnitude
-    active0 = (np.abs(a) > 1.0) | (t == 1.0)
+    active0 = np.abs(a) > 1.0
+    active0 |= t == 1.0
     N0, S0 = _segment_sums(active0, sigma0, u, s)
     # dividing twice lets N/alpha^2 underflow to 0 where the square overflows;
     # R comes off last, as it does from ||x(0) - s||^2
@@ -166,25 +197,34 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
         return None
 
     deact = (t < -1.0).nonzero()[0]
-    w = np.abs(u) + 1.0
+    w = np.abs(u)
+    w += 1.0
     # s_i = 0 gives no breakpoint: its quotient is infinite or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # rounded up past the rounding of w @ w and of the quotient, so no
         # breakpoint below the exact bound is dropped
         q = math.sqrt(float(w @ w)) / math.sqrt(R)
         ub = q * (1.0 + (w.size + 4) * _EPS) - alpha
-        on = (sgn - a) / s
-        off = (-sgn[deact] - a[deact]) / s[deact]
+        on = sgn - a
+        on /= s
+        # few coordinates start active on the far side, most often none
+        off = ((-sgn[deact] - a[deact]) / s[deact] if deact.size
+               else np.empty(0))
     # an infinite bound keeps every finite breakpoint and no infinite one
     ub = min(max(ub, 0.0), _FLOAT_MAX)
     # turning active adds (u_i - sign(s_i))^2 to N and takes s_i^2 out of
     # S; turning inactive, from sigma_i = -sign(s_i), does the reverse
-    coord = ((on > 0.0) & (on <= ub)).nonzero()[0]
+    keep = on > 0.0
+    keep &= on <= ub
+    coord = keep.nonzero()[0]
     n_on = coord.size
     bps = on[coord]
-    d_N = (u[coord] - sgn[coord]) ** 2
-    s_ev = s[coord]
-    d_S = -(s_ev * s_ev)
+    d_N = u[coord]
+    d_N -= sgn[coord]
+    d_N *= d_N
+    d_S = s[coord]
+    d_S *= d_S
+    np.negative(d_S, out=d_S)
     if deact.size:
         kept = (off > 0.0) & (off <= ub)
         j = deact[kept]
@@ -196,8 +236,17 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     bps, d_N, d_S = bps[order], d_N[order], d_S[order]
     # phi at each breakpoint, from the state before that crossing
     scale = alpha + bps
-    phi_right = ((N0 + (d_N.cumsum() - d_N)) / scale / scale
-                 + (d_S.cumsum() - d_S) + (S0 - R))
+    # (N0 + (cumsum(d_N) - d_N)) / scale / scale + (cumsum(d_S) - d_S)
+    # + (S0 - R), in that order
+    phi_right = d_N.cumsum()
+    phi_right -= d_N
+    phi_right += N0
+    phi_right /= scale
+    phi_right /= scale
+    before_S = d_S.cumsum()
+    before_S -= d_S
+    phi_right += before_S
+    phi_right += S0 - R
     hits = (phi_right <= 0.0).nonzero()[0]
     k = int(hits[0]) if hits.size else bps.size
     lo = float(bps[k - 1]) if k > 0 else 0.0
@@ -212,15 +261,16 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     # N and S of segment k summed directly rather than read off the running
     # sums, whose cancellation error would swamp a radius R far below S.
     # A coordinate that turns inactive turns active again at a later
-    # breakpoint; after any crossing its sign is sign(s_i).
-    crossed = order[:k]
-    flipped = coord[crossed]
-    active = active0.copy()
-    active[flipped] = False
-    active[coord[crossed[crossed < n_on]]] = True
-    sigma = sigma0.copy()
-    sigma[flipped] = sgn[flipped]
-    N, S = _segment_sums(active, sigma, u, s)
+    # breakpoint; after any crossing its sign is sign(s_i). With no
+    # crossing the segment is the first one, whose sums are N0 and S0.
+    N, S = N0, S0
+    if k > 0:
+        crossed = order[:k]
+        flipped = coord[crossed]
+        active0[flipped] = False
+        active0[coord[crossed[crossed < n_on]]] = True
+        sigma0[flipped] = sgn[flipped]
+        N, S = _segment_sums(active0, sigma0, u, s)
     if not R - S > 0.0:
         raise SubsolverError(
             f"ball prox root lost to cancellation: R = {R:.3e} does not "
@@ -257,6 +307,13 @@ def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
 
     A degenerate ball (R = 0) pins the solution at x = s; the multiplier is
     not meaningful there and is reported as 0.
+
+    p is not checked again here. A public BallProxProblem checked its
+    fields when it was built; drivers.run_mba builds its trial problems with
+    _ball_problem, unchecked, and in their place tests two scalars: the
+    ball's squared radius R must be finite, which bounds s, and so must the
+    ratio step's center coefficient 1 + omega/(alpha ||x||) times ||x||,
+    which bounds c. This is the one ball-prox implementation for both.
     """
     c, s, R, alpha = p.c, p.s, p.R, p.alpha
     if R == 0.0:

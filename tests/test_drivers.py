@@ -409,6 +409,43 @@ class TestRunMBA:
         assert res.status == STATUS_SUBSOLVER_FAILURE
         assert res.iterations == 0
 
+    @pytest.mark.parametrize("objective", [OBJECTIVE_RATIO,
+                                           OBJECTIVE_PLAIN_L1])
+    @pytest.mark.parametrize("bad", [1e200, math.nan])
+    def test_non_finite_ball_ends_in_subsolver_failure(self, monkeypatch,
+                                                       objective, bad):
+        # the second step's xi gets an entry too large to square, or a NaN
+        # one, which leaves its ball's squared radius infinite or NaN; the
+        # driver's scalar guard on it ends the run as a typed failure before
+        # that ball is solved, at the one accepted iterate
+        model = desk_cauchy().model
+        x0 = feasible_start(model)
+        grad = drivers_module._grad_p1_of_residual
+        grads, proxes = [], []
+
+        def poisoned(model, res):
+            xi = grad(model, res)
+            grads.append(len(proxes))
+            if len(grads) == 2:
+                xi[7] = bad
+            return xi
+
+        def counted(problem):
+            proxes.append(problem)
+            return prox_l1_ball(problem)
+
+        monkeypatch.setattr(drivers_module, "_grad_p1_of_residual", poisoned)
+        monkeypatch.setattr(drivers_module, "prox_l1_ball", counted)
+        res = run_mba(model, objective, x0, SolverConfig(record_iterates=True))
+        assert res.status == STATUS_SUBSOLVER_FAILURE
+        assert res.iterations == 1
+        assert len(proxes) == grads[1]
+        assert np.all(np.isfinite(res.x_final))
+        assert np.array_equal(res.x_final, res.trace.iterates[1])
+        # a ratio run closes with its certificate, from an unpoisoned xi
+        assert (res.criticality_residual is None) == (
+            objective == OBJECTIVE_PLAIN_L1)
+
     def test_subsolver_failure_after_accepted_steps(self, monkeypatch):
         # the third ball-prox call fails; the first step took two calls
         # (one doubling), and it stays in the result

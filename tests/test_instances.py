@@ -81,10 +81,14 @@ class TestGenRobustCS:
                                 seed=9))
         assert q_value(inst.model, inst.x_orig) <= 0.0
 
-    @pytest.mark.parametrize("m, n, seed", [(146, 512, 1), (730, 2560, 0)])
+    @pytest.mark.parametrize("m, n, seed", [
+        (146, 512, 1), (730, 2560, 0),
+        # one block of rows, a full one, one row past it, two past it
+        (1, 5, 2), (64, 100, 3), (65, 100, 4), (129, 257, 5)])
     def test_matrix_matches_out_of_place_normalization(self, m, n, seed):
-        # the in-place division pins the bits the generator had when it
-        # divided into a new array, so saved seeds regenerate unchanged
+        # the in-place division and the column sums taken a block of rows at
+        # a time pin the bits the generator had when it divided into a new
+        # array, so saved seeds regenerate unchanged
         raw = _rng(seed, _STREAM_MATRIX).standard_normal((m, n))
         expected = raw / np.linalg.norm(raw, axis=0)
         A = _unit_column_gaussian(m, n, seed)

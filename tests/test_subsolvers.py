@@ -70,6 +70,27 @@ class TestSoftThreshold:
         right = t * soft_threshold(v, tau)
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(1, 12), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e300,
+                             1.7976931348623157e308]),
+            st.floats(-1e-300, 1e-300),
+            st.floats(1e290, 1.7976931348623157e308),
+            st.floats(-1.7976931348623157e308, -1e290),
+            st.floats(allow_nan=False, allow_infinity=False))),
+        st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e-300),
+                  st.floats(0.0, 1e300)),
+    )
+    @example(np.array([-0.0, 0.0, -5e-324, 5e-324]), 0.0)
+    @example(np.array([-0.0, 0.0, -5e-324, 1e300]), 5e-324)
+    def test_formula_bit_for_bit(self, v, tau):
+        # written in place, it keeps every bit of the formula, the sign of
+        # each zero included
+        expected = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        assert soft_threshold(v, tau).tobytes() == expected.tobytes()
+        assert soft_threshold(v[0], tau) == expected[0]
+
 
 class TestProxL1Ball:
     def test_inactive_hand_case(self):
