@@ -82,8 +82,8 @@ class BallProxProblem:
     The constructor checks every field: c and s must be finite 1-D vectors
     of one nonempty length, R finite and nonnegative, alpha finite and
     positive; ValueError otherwise. drivers.run_mba builds its trial
-    problems with _ball_problem instead, which runs none of these checks:
-    the driver guards its data with scalar tests once per step.
+    problems with _ball_problem instead, which runs none of these checks;
+    the driver tests scalars in their place (see prox_l1_ball).
     """
 
     c: np.ndarray
