@@ -52,8 +52,6 @@ from .models import (
     _as_vector,
     _full_norm,
     _grad_p1_of_residual,
-    _p1_curvature,
-    _p2_is_zero,
     _q_of_residual,
     _residual,
     _subgrad_p2_of_residual,
@@ -213,15 +211,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _clarke_element(model: ConstraintModel, res: np.ndarray,
-                    p2_zero: bool) -> np.ndarray:
+def _clarke_element(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
     """grad P1 - subgrad P2 at the residual res = Ax - b.
 
-    Where P2 = 0 (p2_zero, see models._p2_is_zero) the zero subgradient is
-    neither formed nor subtracted: xi - 0 is xi bit for bit.
+    Where P2 = 0 (model.p2_is_zero) the zero subgradient is neither formed
+    nor subtracted: xi - 0 is xi bit for bit.
     """
     xi = _grad_p1_of_residual(model, res)
-    if not p2_zero:
+    if not model.p2_is_zero:
         xi -= _subgrad_p2_of_residual(model, res)
     return xi
 
@@ -350,7 +347,7 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     and a trial fails only while l < l_s; an l accepted after a failed trial
     therefore stays below 2 L_P1, as with plain doubling. That holds in
     floating point too because l_s is taken no larger than P1's own bound
-    2 c ||A d||^2/||d||^2 (models._p1_curvature), which A d = res_new - res
+    2 c ||A d||^2/||d||^2 (c = model.curvature), which A d = res_new - res
     resolves even when the q values differ only by round-off.
     Every accepted iterate satisfies q <= feas_tol. The origin must be
     infeasible by more than feas_tol, so no accepted iterate is 0.
@@ -375,14 +372,13 @@ def run_mba(model: ConstraintModel, objective: str, x0,
     # doublings (summed jump exponents) certified to restore feasibility
     # before l can sweep the whole [_L_MIN, 2 _L_MAX] range
     doubling_cap = math.ceil(math.log2(_L_MAX * 2.0 / _L_MIN))
-    curvature = _p1_curvature(model)
-    p2_zero = _p2_is_zero(model)
+    curvature = model.curvature
     x_prev = xi_prev = None
     l = 1.0
 
     def step(x, c, trace):
         nonlocal res, qx, x_prev, xi_prev, l
-        xi = _clarke_element(model, res, p2_zero)
+        xi = _clarke_element(model, res)
         # an xi too large to square overflows these products quietly: the
         # seed clips, and the radius guard below ends the run
         with np.errstate(over="ignore"):
@@ -489,5 +485,5 @@ def criticality_residual(model: ConstraintModel, x,
     qx = _q_of_residual(model, res)
     if qx > feas_tol:
         raise ValueError(f"x is infeasible: q(x) = {qx:.3e} > {feas_tol:.3e}")
-    g = _clarke_element(model, res, _p2_is_zero(model))
+    g = _clarke_element(model, res)
     return _kkt_residual(x, g, qx)[0]

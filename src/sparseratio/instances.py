@@ -313,34 +313,32 @@ def rec_err(x_out, x_orig) -> float:
 
 # A model is stored as its variant name, sigma, and the fields its class adds
 # to (A, b, sigma), which are also its remaining constructor arguments.
-_MODEL_VARIANTS = {
-    "least_squares": LeastSquares,
-    "lorentzian": Lorentzian,
-    "robust_cs": RobustCS,
-}
+_MODEL_VARIANTS = {cls.variant: cls
+                   for cls in (LeastSquares, Lorentzian, RobustCS)}
 
 
 def _model_params(model: ConstraintModel) -> dict:
-    variant = next(name for name, cls in _MODEL_VARIANTS.items()
-                   if type(model) is cls)
-    return {"variant": variant, "sigma": model.sigma,
+    return {"variant": model.variant, "sigma": model.sigma,
             **{name: getattr(model, name) for name in model.__slots__}}
 
 
-def _model_from_params(params: dict, A: SensingMatrix, b: np.ndarray) -> ConstraintModel:
-    variant = params["variant"]
+def _model_from_params(params, A: SensingMatrix, b: np.ndarray) -> ConstraintModel:
+    variant = _json_object(params, "model").get("variant")
     cls = _MODEL_VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"unknown model variant {variant!r}")
-    return cls(A, b, params["sigma"],
-               *(params[name] for name in cls.__slots__))
+    names = ("sigma", *cls.__slots__)
+    _json_object(params, f"{variant} model", {"variant", *names})
+    return cls(A, b, *(params[name] for name in names))
 
 
-def _json_object(doc, what: str, known: set) -> dict:
-    """doc itself, checked to be a JSON object with no key outside known."""
+def _json_object(doc, what: str, known: set | None = None) -> dict:
+    """doc itself, checked to be a JSON object with no key outside known
+    (any key where known is None)."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = doc.keys() - known
+        raise ValueError(f"{what} must be a JSON object, got a "
+                         f"{type(doc).__name__}")
+    unknown = doc.keys() - known if known is not None else ()
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     return doc
@@ -360,7 +358,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    version = doc.get("format_version")
+    version = _json_object(doc, "instance").get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     entries = np.array(doc["matrix"], dtype=float)
@@ -373,7 +371,8 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     spec = GenSpec(**_json_object(doc["gen_spec"], "gen_spec",
                                   {f.name for f in fields(GenSpec)}))
     noise = {k: _as_vector(v, None, f"noise_record[{k!r}]")
-             for k, v in doc["noise_record"].items()}
+             for k, v in _json_object(doc["noise_record"],
+                                      "noise_record").items()}
     return ProblemInstance(model=model, x_orig=x_orig, gen_spec=spec,
                            noise_record=noise)
 

@@ -11,8 +11,11 @@ where P1 is smooth with Lipschitz gradient and P2 is convex and continuous:
                      P1(x) = ||Ax - b||^2 - sigma^2,
                      P2(x) = ||Ax - b||^2 - dist^2(Ax - b, S).
 
-All constructors require q(0) > 0 (the origin must be infeasible, otherwise
-zero is a trivial sparsest solution). The sensing matrix has full row rank
+Each model class holds its own formulas (see ``_ModelBase``), reached by
+the drivers through the hooks ``_q_of_residual``, ``_grad_p1_of_residual``
+and ``_subgrad_p2_of_residual``. Its constructor checks every input and
+requires q(0) > 0 (the origin must be infeasible, otherwise zero is a
+trivial sparsest solution). The sensing matrix has full row rank
 by construction: ``SensingMatrix`` is the one place that decides it, and
 raises ValueError on a matrix without it, so every model, prox and start
 point built on one may rely on it. ``SensingMatrix`` adopts a frozen
@@ -295,23 +298,41 @@ def dist_sq_sparse(y, r: int) -> float:
 
 
 class _ModelBase:
-    __slots__ = ("A", "b", "sigma")
+    """A, b, sigma, the one constructor and repr, and P2 = 0.
 
-    def __init__(self, A, b, sigma: float):
+    A subclass lists the fields it adds in ``__slots__``, in constructor
+    order, each annotated with its type. sigma and the fields are read by
+    _as_number (bools, strings, lists, non-finite values and floats for an
+    int raise ValueError); a float must be positive, an int (a count of
+    residual entries) lie in [0, m]. Each subclass holds its formulas of
+    the unchecked residual res = Ax - b, ``_q``, ``_grad_p1`` and, where
+    P2 is not 0, ``_subgrad_p2``; its ``curvature`` c, with
+    P1(x + d) - P1(x) - <grad P1(x), d> <= c ||A d||^2 (half the largest
+    second derivative of one residual term of P1); and the ``variant``
+    name of instance files.
+    """
+
+    __slots__ = ("A", "b", "sigma")
+    # q = P1 where P2 = 0, and the drivers neither form nor subtract the
+    # zero subgradient
+    p2_is_zero = True
+
+    def __init__(self, A, b, sigma: float, *fields):
         if not isinstance(A, SensingMatrix):
             A = SensingMatrix(A)
-        b = _as_vector(b, A.m, "b")
-        sigma = float(sigma)
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        b = b.copy()
+        b = _as_vector(b, A.m, "b").copy()
         b.flags.writeable = False
         self.A = A
         self.b = b
-        self.sigma = sigma
-
-    def _require_origin_infeasible(self):
-        q0 = q_value(self, np.zeros(self.A.n))
+        for name, value in zip(("sigma", *self.__slots__), (sigma, *fields)):
+            integral = type(self).__annotations__.get(name) == "int"
+            value = _as_number(value, integral, name)
+            if integral and not 0 <= value <= A.m:
+                raise ValueError(f"{name} must be in [0, {A.m}], got {value}")
+            if not (integral or value > 0):
+                raise ValueError(f"{name} must be positive")
+            setattr(self, name, value)
+        q0 = self._q(-b)
         if not q0 > 0:  # a NaN q(0) fails too
             raise ValueError(
                 f"the origin must be strictly infeasible, got q(0) = {q0!r}: "
@@ -319,36 +340,55 @@ class _ModelBase:
                 "sigma overflow q"
             )
 
+    def _subgrad_p2(self, res: np.ndarray) -> np.ndarray:
+        return np.zeros(self.A.n)
+
+    def __repr__(self) -> str:
+        fields = "".join(f", {name}={getattr(self, name)!r}"
+                         for name in ("sigma", *self.__slots__))
+        return f"{type(self).__name__}(m={self.A.m}, n={self.A.n}{fields})"
+
 
 class LeastSquares(_ModelBase):
     """Feasible set ||Ax - b||^2 <= sigma^2. Requires ||b|| > sigma."""
 
     __slots__ = ()
+    variant = "least_squares"
+    # exact: the gap of ||Ax - b||^2 is ||A d||^2
+    curvature = 1.0
 
     def __init__(self, A, b, sigma: float):
         super().__init__(A, b, sigma)
-        self._require_origin_infeasible()
 
-    def __repr__(self) -> str:
-        return f"LeastSquares(m={self.A.m}, n={self.A.n}, sigma={self.sigma!r})"
+    def _q(self, res: np.ndarray) -> float:
+        return float(res @ res - self.sigma * self.sigma)
+
+    def _grad_p1(self, res: np.ndarray) -> np.ndarray:
+        g = self.A.entries.T @ res
+        g *= 2.0
+        return g
 
 
 class Lorentzian(_ModelBase):
     """Feasible set lorentzian_norm(Ax - b, gamma) <= sigma."""
 
     __slots__ = ("gamma",)
+    gamma: float
+    variant = "lorentzian"
 
     def __init__(self, A, b, sigma: float, gamma: float):
-        super().__init__(A, b, sigma)
-        gamma = float(gamma)
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = gamma
-        self._require_origin_infeasible()
+        super().__init__(A, b, sigma, gamma)
 
-    def __repr__(self) -> str:
-        return (f"Lorentzian(m={self.A.m}, n={self.A.n}, "
-                f"sigma={self.sigma!r}, gamma={self.gamma!r})")
+    @property
+    def curvature(self) -> float:
+        # each log-sum term curves at most 2/gamma^2, at zero residual
+        return 1.0 / (self.gamma * self.gamma)
+
+    def _q(self, res: np.ndarray) -> float:
+        return _lorentzian_log_sum(res, self.gamma) - self.sigma
+
+    def _grad_p1(self, res: np.ndarray) -> np.ndarray:
+        return self.A.entries.T @ _lorentzian_grad(res, self.gamma)
 
 
 class RobustCS(_ModelBase):
@@ -359,25 +399,31 @@ class RobustCS(_ModelBase):
     """
 
     __slots__ = ("r",)
+    r: int
+    variant = "robust_cs"
+    p2_is_zero = False
+    # P1 and its gradient are LeastSquares' (no subclassing, so isinstance
+    # keeps the models apart)
+    curvature = 1.0
+    _grad_p1 = LeastSquares._grad_p1
 
     def __init__(self, A, b, sigma: float, r: int):
-        super().__init__(A, b, sigma)
-        r = operator.index(r)
-        if r < 0 or r > self.A.m:
-            raise ValueError(f"r must be in [0, {self.A.m}], got {r}")
-        self.r = r
-        self._require_origin_infeasible()
+        super().__init__(A, b, sigma, r)
 
-    def __repr__(self) -> str:
-        return (f"RobustCS(m={self.A.m}, n={self.A.n}, "
-                f"sigma={self.sigma!r}, r={self.r})")
+    def _q(self, res: np.ndarray) -> float:
+        return dist_sq_sparse(res, self.r) - self.sigma * self.sigma
+
+    def _subgrad_p2(self, res: np.ndarray) -> np.ndarray:
+        """2 A^T P_S(res): P2(x) = max over r-sparse z of
+        2<z, Ax - b> - ||z||^2 is attained at any sparse projection of the
+        residual, so this is a subgradient by the max-formula, made
+        reproducible by the projection's tie-break. P_S(res) has at most r
+        nonzeros, so only those rows of A enter."""
+        keep = _sparse_keep(res, self.r)
+        return 2.0 * (res[keep] @ self.A.entries[keep])
 
 
 ConstraintModel = Union[LeastSquares, Lorentzian, RobustCS]
-
-
-def _check_x(model: ConstraintModel, x) -> np.ndarray:
-    return _as_vector(x, model.A.n, "x")
 
 
 def _residual(model: ConstraintModel, x: np.ndarray) -> np.ndarray:
@@ -386,91 +432,37 @@ def _residual(model: ConstraintModel, x: np.ndarray) -> np.ndarray:
     return res
 
 
-# Residual-space helpers. The drivers call these to avoid recomputing
-# A x - b for every quantity at the same iterate.
+# Residual-space hooks, one dispatch each. The drivers call these to avoid
+# recomputing A x - b for every quantity at the same iterate, and only
+# through these names.
 
 def _q_of_residual(model: ConstraintModel, res: np.ndarray) -> float:
-    if isinstance(model, LeastSquares):
-        return float(res @ res - model.sigma * model.sigma)
-    if isinstance(model, Lorentzian):
-        return _lorentzian_log_sum(res, model.gamma) - model.sigma
-    if isinstance(model, RobustCS):
-        return dist_sq_sparse(res, model.r) - model.sigma * model.sigma
-    raise TypeError(f"unknown constraint model {type(model).__name__}")
+    return model._q(res)
 
 
 def _grad_p1_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
-    if isinstance(model, (LeastSquares, RobustCS)):
-        g = model.A.entries.T @ res
-        g *= 2.0
-        return g
-    if isinstance(model, Lorentzian):
-        return model.A.entries.T @ _lorentzian_grad(res, model.gamma)
-    raise TypeError(f"unknown constraint model {type(model).__name__}")
+    return model._grad_p1(res)
 
 
 def _subgrad_p2_of_residual(model: ConstraintModel, res: np.ndarray) -> np.ndarray:
-    if isinstance(model, RobustCS):
-        # P_S(res) has at most r nonzeros, so only those rows of A enter
-        keep = _sparse_keep(res, model.r)
-        return 2.0 * (res[keep] @ model.A.entries[keep])
-    if isinstance(model, (LeastSquares, Lorentzian)):
-        return np.zeros(model.A.n)
-    raise TypeError(f"unknown constraint model {type(model).__name__}")
-
-
-def _p2_is_zero(model: ConstraintModel) -> bool:
-    """True where P2 = 0 (LeastSquares, Lorentzian): q = P1 there, and the
-    drivers neither form nor subtract the zero subgradient."""
-    if isinstance(model, RobustCS):
-        return False
-    if isinstance(model, (LeastSquares, Lorentzian)):
-        return True
-    raise TypeError(f"unknown constraint model {type(model).__name__}")
-
-
-def _p1_curvature(model: ConstraintModel) -> float:
-    """The c with P1(x + d) - P1(x) - <grad P1(x), d> <= c ||A d||^2.
-
-    P1 is a sum over residual entries, so the bound is half the largest
-    second derivative of one term: 1 for ||Ax - b||^2 (exact there), and
-    1/gamma^2 for the Lorentzian log-sum, whose terms curve at most
-    2/gamma^2, at zero residual.
-    """
-    if isinstance(model, (LeastSquares, RobustCS)):
-        return 1.0
-    if isinstance(model, Lorentzian):
-        return 1.0 / (model.gamma * model.gamma)
-    raise TypeError(f"unknown constraint model {type(model).__name__}")
+    return model._subgrad_p2(res)
 
 
 def q_value(model: ConstraintModel, x) -> float:
     """Constraint value q(x); the point x is feasible iff q(x) <= 0."""
-    x = _check_x(model, x)
+    x = _as_vector(x, model.A.n, "x")
     return _q_of_residual(model, _residual(model, x))
 
 
 def grad_p1(model: ConstraintModel, x) -> np.ndarray:
-    """Gradient of the smooth part P1 at x.
-
-    LeastSquares and RobustCS share P1(x) = ||Ax - b||^2 - sigma^2 with
-    gradient 2 A^T (Ax - b); Lorentzian chains the log-sum derivative
-    through A.
-    """
-    x = _check_x(model, x)
+    """Gradient of the smooth part P1 at x."""
+    x = _as_vector(x, model.A.n, "x")
     return _grad_p1_of_residual(model, _residual(model, x))
 
 
 def subgrad_p2(model: ConstraintModel, x) -> np.ndarray:
-    """One subgradient of the convex part P2 at x.
-
-    Zero for LeastSquares and Lorentzian (P2 = 0 there). For RobustCS,
-    P2(x) = max over r-sparse z of (2<z, Ax-b> - ||z||^2), attained at any
-    sparse projection of the residual, so 2 A^T proj(Ax - b) is a valid
-    subgradient by the max-formula. The projection's deterministic
-    tie-break makes the returned element reproducible.
-    """
-    x = _check_x(model, x)
+    """One subgradient of the convex part P2 at x (zero where P2 = 0)."""
+    x = _as_vector(x, model.A.n, "x")
     return _subgrad_p2_of_residual(model, _residual(model, x))
 
 

@@ -465,10 +465,17 @@ def _dual_step(v, w, tau, k) -> float:
         inner = (0.5 * lo + 0.5 * hi if hi < math.inf
                  else min(2.0 * lo + 1.0, _FLOAT_MAX))
         u = v + inner * w
-    ww = np.where(np.abs(u) > tau, w, 0.0)
-    S = float(ww @ w)
-    C = k - float(ww @ (v - np.sign(u) * tau))
-    return min(max(C / S, lo), hi) if S > 0.0 else lo
+        ww = np.where(np.abs(u) > tau, w, 0.0)
+        S = float(ww @ w)
+    # a w too large to square overflows S; a power of two s with max |ww|/s
+    # in [1, 2) scales S by 1/s^2 and C by 1/s exactly, so C/S/s is the root
+    s = 1.0
+    if S == math.inf:
+        s = math.ldexp(1.0, math.frexp(float(np.abs(ww).max()))[1] - 1)
+        ww /= s
+        S = float(ww @ (w / s))
+    C = k / s - float(ww @ (v - np.sign(u) * tau))
+    return min(max(C / S / s, lo), hi) if S > 0.0 else lo
 
 
 def _piece_correction(lu, Q_J, z, F, rho) -> np.ndarray:

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sparseratio
 from sparseratio.cli import PipelineResult, run_pipeline
@@ -63,6 +64,32 @@ def test_ball_prox_layer_counts():
     assert tracer.evals[None, "subsolvers.prox_l1_ball"] == calls
     assert "subsolvers.BallProxProblem" not in totals
     assert tracer.calls["drivers.BallProxProblem"] == 0
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(family="cauchy", n=128, m=48, k=6, seed=3),
+    GenSpec(family="robust_cs", n=128, p=44, iota=4, k=6, seed=3),
+], ids=["cauchy", "robust_cs"])
+@pytest.mark.parametrize("objective", [OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1])
+def test_residual_hook_counts(spec, objective):
+    # run_mba reaches each model formula only through the three names the
+    # tracer swaps: q at the origin, at x0 and once per ball-prox trial;
+    # grad P1 once per outer step; subgrad P2 with it where P2 is not 0. A
+    # ratio run's criticality check adds one q and one Clarke element.
+    tracer_module = load_perfbench("tracer")
+    inst = generate(spec)
+    x0 = feasible_start(inst.model)
+    with tracer_module.Tracer(sparseratio) as tracer:
+        res = sparseratio.drivers.run_mba(inst.model, objective, x0,
+                                          SolverConfig(max_outer_iters=40))
+    check = int(objective == OBJECTIVE_RATIO)
+    proxes = tracer.calls["drivers.prox_l1_ball"]
+    grads = tracer.calls["drivers._grad_p1_of_residual"]
+    assert res.iterations > 0 and proxes >= res.iterations
+    assert tracer.calls["drivers._q_of_residual"] == proxes + 2 + check
+    assert grads == res.iterations + check
+    assert tracer.calls["drivers._subgrad_p2_of_residual"] == (
+        grads if spec.family == "robust_cs" else 0)
 
 
 def test_affine_prox_layer_counts():

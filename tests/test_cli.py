@@ -735,6 +735,13 @@ _FAULTS = {
     "unknown-gen_spec-field": _edit(lambda doc: doc["gen_spec"].update(
         sigma_factor=1.2)),
     "list-gen_spec": _edit(lambda doc: doc.update(gen_spec=[1])),
+    "list-document": lambda doc: json.dumps([doc]),
+    "list-model": _edit(lambda doc: doc.update(model=[doc["model"]])),
+    "list-noise_record": _edit(lambda doc: doc.update(noise_record=[1.0])),
+    "list-sigma": _edit(lambda doc: doc["model"].update(sigma=[1.0])),
+    "string-gamma": _edit(lambda doc: doc["model"].update(gamma="0.02")),
+    "float-r": _edit(lambda doc: doc.update(model={
+        "variant": "robust_cs", "sigma": doc["model"]["sigma"], "r": 2.5})),
     "unknown-format": _edit(lambda doc: doc.update(format_version=99)),
 }
 

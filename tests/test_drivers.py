@@ -748,6 +748,23 @@ class TestExactKKTSolve:
         assert res_c == pytest.approx(res / scale, rel=1e-12, abs=0.0)
         assert lam_c == pytest.approx(lam / scale, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_gradient_entry_too_large_to_square(self, big):
+        # the slope of the dual step's piece sums g_i^2, which overflowed
+        # past about 1.3e154; the residual must read as at 1e100, and
+        # lambda* shrink as 1/g_i
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(20)
+        x[:10] = 0.0
+        g = rng.standard_normal(20)
+        g[13] = 1e100
+        res, lam = drivers_module._kkt_residual(x, g, -0.5)
+        g[13] = big
+        res_big, lam_big = drivers_module._kkt_residual(x, g, -0.5)
+        assert lam > 0.0
+        assert res_big == res
+        assert lam_big * big == pytest.approx(lam * 1e100, rel=1e-12)
+
     def test_exactly_critical_point(self):
         # x = e_1 puts 0 in the subdifferential at lambda = 0: its first
         # coordinate is exactly 0 and every other one an interval around 0,

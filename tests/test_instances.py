@@ -363,8 +363,10 @@ class TestPersistence:
          "gen_spec must be a JSON object"),
         (lambda doc: doc["model"].update(variant=["lorentzian"]),
          r"unknown model variant \['lorentzian'\]"),
+        (lambda doc: doc["model"].update(r=2),
+         r"unknown lorentzian model fields: \['r'\]"),
     ], ids=["unknown-field", "written-with-recipe-fields", "list-gen_spec",
-            "list-variant"])
+            "list-variant", "unknown-model-field"])
     def test_malformed_gen_spec_or_variant_rejected(self, change, message):
         doc = instance_to_dict(generate(GenSpec(family="cauchy", n=32, m=12,
                                                 k=3, seed=5)))

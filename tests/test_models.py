@@ -23,7 +23,6 @@ from sparseratio.models import (
     Lorentzian,
     RobustCS,
     SensingMatrix,
-    _p1_curvature,
     _sparse_keep,
     _subgrad_p2_of_residual,
     dist_sq_sparse,
@@ -650,7 +649,7 @@ class TestLipschitzBounds:
                 return lorentzian_norm(res, model.gamma)
             return float(res @ res)
 
-        c = _p1_curvature(model)
+        c = model.curvature
         rng = np.random.default_rng(36)
         for scale in (1e-3, 1e-1, 1.0, 10.0):
             x, d = rng.standard_normal((2, model.A.n))
@@ -711,6 +710,29 @@ class TestConstruction:
             RobustCS(A, b, sigma=0.9, r=-1)
         with pytest.raises(ValueError):
             LeastSquares(A, [1.0, 2.0], sigma=0.5)  # wrong length b
+        # each number is read by _as_number: bools, floats for an integer,
+        # lists, strings and NaN raise ValueError
+        with pytest.raises(ValueError):
+            RobustCS(A, b, sigma=0.9, r=True)
+        with pytest.raises(ValueError):
+            RobustCS(A, b, sigma=0.9, r=2.0)
+        with pytest.raises(ValueError):
+            LeastSquares(A, b, sigma=[1.0])
+        with pytest.raises(ValueError):
+            Lorentzian(A, b, sigma=1.0, gamma="0.02")
+        with pytest.raises(ValueError):
+            Lorentzian(A, b, sigma=1.0, gamma=float("nan"))
+
+
+    def test_repr(self):
+        A = np.eye(3)
+        b = [3.0, -1.0, 2.0]
+        assert (repr(LeastSquares(A, b, sigma=0.5))
+                == "LeastSquares(m=3, n=3, sigma=0.5)")
+        assert (repr(Lorentzian(A, b, sigma=1, gamma=0.5))
+                == "Lorentzian(m=3, n=3, sigma=1.0, gamma=0.5)")
+        assert (repr(RobustCS(A, b, sigma=0.9, r=np.int64(2)))
+                == "RobustCS(m=3, n=3, sigma=0.9, r=2)")
 
 
 class TestIsFeasible:
