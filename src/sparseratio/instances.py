@@ -336,7 +336,7 @@ def _json_object(doc, what: str, known: set | None = None) -> dict:
     """doc itself, checked to be a JSON object with no key outside known
     (any key where known is None)."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got a "
+        raise ValueError(f"{what} must be a JSON object, got "
                          f"{type(doc).__name__}")
     unknown = doc.keys() - known if known is not None else ()
     if unknown:
