@@ -723,7 +723,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Lorentzian(A, b, sigma=1.0, gamma=float("nan"))
 
-
     def test_repr(self):
         A = np.eye(3)
         b = [3.0, -1.0, 2.0]
