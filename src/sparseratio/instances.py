@@ -39,6 +39,7 @@ from .models import (
     SensingMatrix,
     _as_number,
     _as_vector,
+    _float_array,
     lorentzian_norm,
 )
 
@@ -322,7 +323,7 @@ def _model_params(model: ConstraintModel) -> dict:
             **{name: getattr(model, name) for name in model.__slots__}}
 
 
-def _model_from_params(params, A: SensingMatrix, b: np.ndarray) -> ConstraintModel:
+def _model_from_params(params, A: SensingMatrix, b) -> ConstraintModel:
     variant = _json_object(params, "model").get("variant")
     cls = _MODEL_VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
@@ -361,11 +362,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     version = _json_object(doc, "instance").get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
-    entries = np.array(doc["matrix"], dtype=float)
+    entries = _float_array(doc["matrix"], "matrix", copy=True)
     entries.flags.writeable = False
     A = SensingMatrix(entries)
-    b = np.array(doc["b"], dtype=float)
-    model = _model_from_params(doc["model"], A, b)
+    # the model's constructor reads b through models._as_vector
+    model = _model_from_params(doc["model"], A, doc["b"])
     x_orig = _as_vector(doc["x_orig"], A.n, "x_orig")
     # a file written when GenSpec had more fields fails here, naming them
     spec = GenSpec(**_json_object(doc["gen_spec"], "gen_spec",

@@ -86,8 +86,17 @@ _MIN_PIVOT_SQ = float(np.finfo(float).tiny / np.finfo(float).eps)
 _FEAS_TOL = 1e-10
 
 
+def _float_array(v, name: str, copy: bool | None = None) -> np.ndarray:
+    """np.array(v, dtype=float, copy=copy); a value float() cannot read (a
+    JSON object, say) raises ValueError naming name, not TypeError."""
+    try:
+        return np.array(v, dtype=float, copy=copy)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def _as_vector(v, length: int | None, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = _float_array(v, name)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
     if length is not None and v.shape[0] != length:

@@ -134,32 +134,23 @@ class BallProxSolution:
     active: bool
 
 
-def _ball_x_of_mu(c, s, alpha, mu):
-    """soft_threshold((alpha c + mu s) / (alpha + mu), 1 / (alpha + mu))."""
-    v = alpha * c
-    v += mu * s
+def _ball_x_of_mu(a, s, alpha, mu):
+    """soft_threshold((mu s + a) / (alpha + mu), 1 / (alpha + mu)) for
+    a = alpha c: the same sum as alpha c + mu s, so the same bits."""
+    v = mu * s
+    v += a
     v /= alpha + mu
     return soft_threshold(v, 1.0 / (alpha + mu))
 
 
-def _segment_sums(active, sigma, u, s) -> tuple[float, float]:
-    """N = sum of (u_i - sigma_i)^2 over active i, S = sum of s_i^2 over
-    the rest."""
-    w = u - sigma
-    w *= active
-    # s * ~active up to the sign of its zeros, which squares away
-    z = np.where(active, 0.0, s)
-    return float(w @ w), float(z @ z)
-
-
-def _ball_multiplier(c, s, R, alpha) -> float | None:
+def _ball_multiplier(a, s, R, alpha) -> float | None:
     """Root of phi(mu) = ||x(mu) - s||^2 - R on mu > 0, or None when
-    phi(0) <= 0 (the ball is inactive).
+    phi(0) <= 0 (the ball is inactive); a = alpha c.
 
     Coordinate i of x(mu) is nonzero (active) exactly when
-    |alpha c_i + mu s_i| > 1, and then x_i - s_i = (u_i - sigma_i)/(alpha + mu)
-    with u = alpha (c - s) and sigma_i the sign of alpha c_i + mu s_i. The
-    active set changes only at breakpoints, so between two consecutive ones
+    |a_i + mu s_i| > 1, and then x_i - s_i = (u_i - sigma_i)/(alpha + mu)
+    with u = a - alpha s and sigma_i the sign of a_i + mu s_i. The active
+    set changes only at breakpoints, so between two consecutive ones
     phi(mu) = N/(alpha + mu)^2 + S - R, with N summing (u_i - sigma_i)^2
     over active coordinates and S summing s_i^2 over the others. phi(0)
     comes from the sums N0, S0 of the state just right of mu = 0, so no
@@ -167,30 +158,47 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
     last, as from ||x(0) - s||^2: where N0/alpha^2 is lost in the rounding
     of S0, both read phi(0) = S0 - R.
 
-    For s_i != 0, alpha c_i + mu s_i moves toward sign(s_i). With
-    t_i = sign(s_i) alpha c_i, a coordinate with t_i < 1 turns active at
-    (sign(s_i) - alpha c_i)/s_i;
+    For s_i != 0, a_i + mu s_i moves toward sign(s_i). With
+    t_i = sign(s_i) a_i, a coordinate with t_i < 1 turns active at
+    (sign(s_i) - a_i)/s_i;
     one with t_i < -1 starts active on the other side and first turns
-    inactive at (-sign(s_i) - alpha c_i)/s_i. Each coordinate obeys
+    inactive at (-sign(s_i) - a_i)/s_i. Each coordinate obeys
     |x_i(mu) - s_i| <= (|u_i| + 1)/(alpha + mu), whether active or not, so
     the root is at most ub = || |u| + 1 || / sqrt(R) - alpha. The
     breakpoints above ub, rounded up past the rounding of the quotient, are
-    dropped before the sort. A cumulative sum of the changes to N and S over
-    the sorted rest gives phi at each of them; the root lies on the first
-    segment whose right end has phi <= 0, or on the last one, which then
-    ends at the first dropped breakpoint.
+    dropped before the sort. u, sign(s) and s are then gathered once, in
+    the sorted order of the kept breakpoints. A cumulative sum of the
+    changes to N and S over them gives phi at each breakpoint; the root
+    lies on the first segment whose right end has phi <= 0, or on the last
+    one, which then ends at the first dropped breakpoint. The changes to S
+    are kept as the positive masses taken out of it, and their running sum
+    is subtracted: negation is exact, so this is the same sum of the
+    negated changes.
+
+    N and S of the root's segment are then summed directly (see below).
+    Where no coordinate starts active on the far side, each crossed
+    coordinate has turned active with sigma_i = sign(s_i), so the arrays
+    of the sums at mu = 0 are patched on the crossed coordinates alone:
+    (u_i - sigma_i) times the activity is u_i - sign(s_i) there, the
+    value its change to N squares, and s_i masked is 0. The other entries
+    are those the sums would be rebuilt from, so the dot products, and
+    their bits, are the same.
     """
-    a = alpha * c
     u = alpha * s  # then a - alpha s, written over it
     np.subtract(a, u, out=u)
     sgn = np.sign(s)
     sigma0 = np.sign(a)
     t = sgn * a
-    # the state just right of mu = 0: a coordinate with |alpha c_i| = 1
-    # turns active at once if alpha c_i + mu s_i grows in magnitude
+    # the state just right of mu = 0: a coordinate with |a_i| = 1 turns
+    # active at once if a_i + mu s_i grows in magnitude
     active0 = np.abs(a) > 1.0
     active0 |= t == 1.0
-    N0, S0 = _segment_sums(active0, sigma0, u, s)
+    # N0 = w0 . w0, S0 = z0 . z0; z0 is s * ~active0 up to the sign of its
+    # zeros, which squares away
+    w0 = u - sigma0
+    w0 *= active0
+    z0 = np.where(active0, 0.0, s)
+    N0, S0 = float(w0 @ w0), float(z0 @ z0)
     # dividing twice lets N/alpha^2 underflow to 0 where the square overflows;
     # R comes off last, as it does from ||x(0) - s||^2
     if N0 / alpha / alpha + S0 - R <= 0.0:
@@ -212,40 +220,45 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
                else np.empty(0))
     # an infinite bound keeps every finite breakpoint and no infinite one
     ub = min(max(ub, 0.0), _FLOAT_MAX)
-    # turning active adds (u_i - sign(s_i))^2 to N and takes s_i^2 out of
-    # S; turning inactive, from sigma_i = -sign(s_i), does the reverse
     keep = on > 0.0
     keep &= on <= ub
     coord = keep.nonzero()[0]
     n_on = coord.size
     bps = on[coord]
-    d_N = u[coord]
-    d_N -= sgn[coord]
-    d_N *= d_N
-    d_S = s[coord]
-    d_S *= d_S
-    np.negative(d_S, out=d_S)
     if deact.size:
         kept = (off > 0.0) & (off <= ub)
-        j = deact[kept]
-        coord = np.concatenate((coord, j))
+        coord = np.concatenate((coord, deact[kept]))
         bps = np.concatenate((bps, off[kept]))
-        d_N = np.concatenate((d_N, -(u[j] + sgn[j]) ** 2))
-        d_S = np.concatenate((d_S, s[j] * s[j]))
     order = bps.argsort()
-    bps, d_N, d_S = bps[order], d_N[order], d_S[order]
+    bps = bps[order]
+    coord = coord[order]
+    # turning active adds (u_i - sign(s_i))^2 to N and takes s_i^2 out of
+    # S; turning inactive, from sigma_i = -sign(s_i), does the reverse
+    w_on = u[coord]
+    sg = sgn[coord]
+    w_on -= sg
+    d_N = w_on * w_on
+    d_S = s[coord]
+    d_S *= d_S
+    if deact.size:
+        leave = order >= n_on
+        w_off = u[coord[leave]]
+        w_off += sg[leave]
+        w_off *= w_off
+        d_N[leave] = -w_off
+        d_S[leave] = -d_S[leave]
     # phi at each breakpoint, from the state before that crossing
     scale = alpha + bps
-    # (N0 + (cumsum(d_N) - d_N)) / scale / scale + (cumsum(d_S) - d_S)
+    # (N0 + (cumsum(d_N) - d_N)) / scale / scale - (cumsum(d_S) - d_S)
     # + (S0 - R), in that order
     phi_right = d_N.cumsum()
     phi_right -= d_N
     phi_right += N0
     phi_right /= scale
     phi_right /= scale
-    before_S = d_S.cumsum()
-    before_S -= d_S
-    phi_right += before_S
+    taken_S = d_S.cumsum()
+    taken_S -= d_S
+    phi_right -= taken_S
     phi_right += S0 - R
     hits = (phi_right <= 0.0).nonzero()[0]
     k = int(hits[0]) if hits.size else bps.size
@@ -260,17 +273,24 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
 
     # N and S of segment k summed directly rather than read off the running
     # sums, whose cancellation error would swamp a radius R far below S.
-    # A coordinate that turns inactive turns active again at a later
-    # breakpoint; after any crossing its sign is sign(s_i). With no
-    # crossing the segment is the first one, whose sums are N0 and S0.
+    # With no crossing the segment is the first one, whose sums are N0 and
+    # S0.
     N, S = N0, S0
     if k > 0:
-        crossed = order[:k]
-        flipped = coord[crossed]
-        active0[flipped] = False
-        active0[coord[crossed[crossed < n_on]]] = True
-        sigma0[flipped] = sgn[flipped]
-        N, S = _segment_sums(active0, sigma0, u, s)
+        crossed = coord[:k]
+        if deact.size:
+            # a coordinate that turns inactive turns active again at a
+            # later breakpoint; after any crossing its sign is sign(s_i)
+            active0[crossed] = False
+            active0[crossed[order[:k] < n_on]] = True
+            sigma0[crossed] = sgn[crossed]
+            np.subtract(u, sigma0, out=w0)
+            w0 *= active0
+            z0 = np.where(active0, 0.0, s)
+        else:
+            w0[crossed] = w_on[:k]
+            z0[crossed] = 0.0
+        N, S = float(w0 @ w0), float(z0 @ z0)
     if not R - S > 0.0:
         raise SubsolverError(
             f"ball prox root lost to cancellation: R = {R:.3e} does not "
@@ -287,18 +307,21 @@ def _ball_multiplier(c, s, R, alpha) -> float | None:
 def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
     """Solve a BallProxProblem exactly.
 
-    The minimizer is x(mu) = soft_threshold((alpha c + mu s)/(alpha + mu),
-    1/(alpha + mu)) for the unique multiplier mu >= 0 at which either the
-    unconstrained prox (mu = 0) already lies in the ball, or
-    phi(mu) = ||x(mu) - s||^2 - R vanishes. phi is piecewise of the form
+    The minimizer is x(mu) = soft_threshold((mu s + a)/(alpha + mu),
+    1/(alpha + mu)), a = alpha c, for the unique multiplier mu >= 0 at which
+    either the unconstrained prox (mu = 0) already lies in the ball, or
+    phi(mu) = ||x(mu) - s||^2 - R vanishes. a is formed once, here, and
+    serves both the multiplier and the point; mu s + a is the same sum as
+    alpha c + mu s, so the same bits. phi is piecewise of the form
     N/(alpha + mu)^2 + S - R between the breakpoints where a coordinate of
     x(mu) becomes zero or nonzero (see _ball_multiplier). The sums N and S
     at mu = 0 decide whether the ball is active; if it is, one sort of the
     breakpoints below the closed-form bound
-    mu <= || |alpha (c - s)| + 1 || / sqrt(R) - alpha and a cumulative-sum
-    sweep find the segment holding the root, and the root there is
-    mu = sqrt(N/(R - S)) - alpha in closed form. Either way x(mu) is
-    evaluated once.
+    mu <= || |a - alpha s| + 1 || / sqrt(R) - alpha, one gather of the
+    coordinates in that order and a cumulative-sum sweep find the segment
+    holding the root, and the root there is mu = sqrt(N/(R - S)) - alpha
+    in closed form, with N and S patched from their sums at mu = 0 on the
+    crossed coordinates. Either way x(mu) is evaluated once.
 
     The constraint error of the returned point is bounded by
     | ||x - s||^2 - R | <= _BALL_TOL * max(R, 1), _BALL_TOL = 1e-12. A
@@ -319,16 +342,17 @@ def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
     if R == 0.0:
         return BallProxSolution(x=s.copy(), mu=0.0, active=True)
 
-    mu = _ball_multiplier(c, s, R, alpha)
+    a = alpha * c
+    mu = _ball_multiplier(a, s, R, alpha)
     if mu is None:
-        return BallProxSolution(x=_ball_x_of_mu(c, s, alpha, 0.0), mu=0.0,
+        return BallProxSolution(x=_ball_x_of_mu(a, s, alpha, 0.0), mu=0.0,
                                 active=False)
     if not math.isfinite(mu):
         raise SubsolverError(
             "ball multiplier overflowed; R is vanishingly small relative "
             "to the data"
         )
-    x = _ball_x_of_mu(c, s, alpha, mu)
+    x = _ball_x_of_mu(a, s, alpha, mu)
     d = x - s
     phi = float(d @ d) - R
     if not math.isfinite(phi):

@@ -14,6 +14,13 @@ sign(s_i) alpha c_i < -1: each support coordinate turns inactive and then
 active again as mu grows, and with a radius of a hundredth of that distance
 the sweep crosses both breakpoints of most of them.
 
+The trial case times the first 200 trial problems of the
+cauchy_two_stage_n640 workload's seed-0 instance (cauchy n=640, m=180,
+k=20; perfbench/workloads.py), recorded from its two_stage solve as
+run_mba builds them; one round solves all 200. Most of its calls keep
+about a third of their breakpoints and find the root in the first quarter
+of those, which the synthetic cases do not resemble.
+
 Each affine case is the first prox of run_algorithm1 (alpha = 1, fixed
 tolerance and cap) from the least-norm start on a noiseless instance: a
 Gaussian A with unit columns, a k-sparse x_orig and b = A x_orig, drawn as
@@ -23,9 +30,13 @@ perfbench's noiseless_algorithm1 draws its instance seed 3.
 import numpy as np
 import pytest
 
+from sparseratio import cli, drivers
+from sparseratio.drivers import SolverConfig
+from sparseratio.instances import GenSpec, generate
 from sparseratio.models import SensingMatrix
 from sparseratio.subsolvers import (
     BallProxProblem,
+    _ball_problem,
     least_norm_solution,
     prox_l1_affine,
     prox_l1_ball,
@@ -67,6 +78,43 @@ def test_prox_l1_ball_turn_off(benchmark, n):
     # some support coordinate has crossed both its breakpoints
     flipped = np.sign(sol.x) == np.sign(problem.s)
     assert np.any(flipped & (np.sign(problem.s) * problem.c < -1.0))
+
+
+class _Recorded(Exception):
+    """Ends the recording solve once it has enough trial problems."""
+
+
+@pytest.fixture(scope="module")
+def workload_trials():
+    """The first 200 trial problems of cauchy_two_stage_n640, seed 0."""
+    inst = generate(GenSpec(family="cauchy", n=640, m=180, k=20, seed=0))
+    trials = []
+
+    def recording_prox(p):
+        trials.append(_ball_problem(p.c.copy(), p.s.copy(), p.R, p.alpha))
+        if len(trials) == 200:
+            raise _Recorded
+        return prox_l1_ball(p)
+
+    drivers.prox_l1_ball = recording_prox
+    try:
+        cli.run_pipeline(inst.model, "two_stage",
+                         SolverConfig(tol=1e-6, feas_tol=1e-13), 1e-6)
+    except _Recorded:
+        pass
+    finally:
+        drivers.prox_l1_ball = prox_l1_ball
+    assert len(trials) == 200
+    return trials
+
+
+def solve_all(problems):
+    return [prox_l1_ball(p) for p in problems]
+
+
+def test_prox_l1_ball_workload_trials(benchmark, workload_trials):
+    sols = benchmark(solve_all, workload_trials)
+    assert sum(sol.active for sol in sols) > 100
 
 
 def first_affine_prox(m: int, n: int, k: int):

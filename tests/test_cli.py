@@ -721,6 +721,12 @@ def _edit(change):
     return apply
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 # 1e400 is valid JSON that parses to inf, so it reaches the loader's own
 # checks; NaN and -Infinity are stopped by the reader
 _FAULTS = {
@@ -730,6 +736,12 @@ _FAULTS = {
                           ("noise", ["noise_record", "epsilon"])]
        for token in ["NaN", "-Infinity", "1e400"]},
     "short-x_orig": _edit(lambda doc: doc["x_orig"].pop()),
+    # float() of a JSON object raises TypeError, which the loader names
+    **{f"object-{name}": _edit(lambda doc, path=path: _set(doc, path, {}))
+       for name, path in [("matrix", ["matrix"]), ("b", ["b"]),
+                          ("x_orig", ["x_orig"]),
+                          ("noise", ["noise_record", "epsilon"])]},
+    "object-in-b": _edit(lambda doc: doc.update(b=[{}])),
     "unknown-variant": _edit(lambda doc: doc["model"].update(variant="huber")),
     "list-variant": _edit(lambda doc: doc["model"].update(variant=["huber"])),
     "unknown-gen_spec-field": _edit(lambda doc: doc["gen_spec"].update(

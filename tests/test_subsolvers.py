@@ -8,7 +8,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
-from sparseratio import subsolvers
+from sparseratio import drivers, subsolvers
+from sparseratio.drivers import (
+    OBJECTIVE_PLAIN_L1,
+    OBJECTIVE_RATIO,
+    SolverConfig,
+    feasible_start,
+)
+from sparseratio.instances import GenSpec, generate
 from sparseratio.models import SensingMatrix, _full_norm
 from sparseratio.subsolvers import (
     _dual_step,
@@ -464,6 +471,15 @@ class TestExactBallSolve:
 
     @settings(max_examples=300, deadline=None)
     @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
+    # coordinate 2 starts active on the far side (sign(s_2) alpha c_2 =
+    # -1.25), turns inactive at 1/3 and active again at 3, both below the
+    # root 3.5; the rebuild of the segment sums runs
+    @example(BallProxProblem(c=[3.0, 0.5, -1.25], s=[-0.5, 1.0, 0.75],
+                             R=0.8641975308641977, alpha=1.0))
+    # the root 2 lies past the last kept breakpoint 0.5, and the bound
+    # (about 3.24) drops the breakpoint 5e5, which ends the root's segment
+    @example(BallProxProblem(c=[0.5, 0.5], s=[1.0, 1e-6], R=0.250000000001,
+                             alpha=1.0))
     @given(ball_problems())
     def test_same_bits_as_the_full_sweep(self, p):
         # the bounded sweep crosses the same breakpoints in the same order as
@@ -483,6 +499,40 @@ class TestExactBallSolve:
         else:
             assert sol.x.tobytes() == x_ref.tobytes()
             assert sol.mu == mu_ref and sol.active == active_ref
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="cauchy", n=128, m=48, k=6, seed=3),
+        GenSpec(family="robust_cs", n=128, p=44, iota=4, k=6, seed=3),
+    ], ids=["cauchy", "robust_cs"])
+    @pytest.mark.parametrize("objective", [OBJECTIVE_RATIO, OBJECTIVE_PLAIN_L1])
+    def test_same_bits_as_the_full_sweep_on_driver_trials(
+            self, spec, objective, monkeypatch):
+        # every trial problem of a short run_mba run, as the driver builds
+        # it (unchecked, through _ball_problem), and the result it got back
+        trials = []
+
+        def recording_prox(p):
+            sol = prox_l1_ball(p)
+            trials.append((p.c.copy(), p.s.copy(), p.R, p.alpha, sol))
+            return sol
+
+        inst = generate(spec)
+        x0 = feasible_start(inst.model)
+        monkeypatch.setattr(drivers, "prox_l1_ball", recording_prox)
+        drivers.run_mba(inst.model, objective, x0,
+                        SolverConfig(max_outer_iters=40))
+        assert len(trials) > 40
+        compared = 0
+        for c, s, R, alpha, sol in trials:
+            p = BallProxProblem(c=c, s=s, R=R, alpha=alpha)
+            # tied breakpoints may be crossed in either order
+            if np.any(np.diff(breakpoints(p)) == 0.0):
+                continue
+            x_ref, mu_ref, active_ref = full_sweep_prox_ball(c, s, R, alpha)
+            assert sol.x.tobytes() == x_ref.tobytes()
+            assert sol.mu == mu_ref and sol.active == active_ref
+            compared += 1
+        assert compared > 40
 
 
 @st.composite
