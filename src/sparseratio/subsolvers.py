@@ -194,11 +194,13 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     active0 = np.abs(a) > 1.0
     active0 |= t == 1.0
     # N0 = w0 . w0, S0 = z0 . z0; z0 is s * ~active0 up to the sign of its
-    # zeros, which squares away
+    # zeros, which squares away. x.dot(x) is the BLAS dot product that
+    # x @ x calls, so the same bits, without matmul's dispatch; it is used
+    # for every dot product of the ball prox.
     w0 = u - sigma0
     w0 *= active0
     z0 = np.where(active0, 0.0, s)
-    N0, S0 = float(w0 @ w0), float(z0 @ z0)
+    N0, S0 = float(w0.dot(w0)), float(z0.dot(z0))
     # dividing twice lets N/alpha^2 underflow to 0 where the square overflows;
     # R comes off last, as it does from ||x(0) - s||^2
     if N0 / alpha / alpha + S0 - R <= 0.0:
@@ -209,9 +211,9 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     w += 1.0
     # s_i = 0 gives no breakpoint: its quotient is infinite or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # rounded up past the rounding of w @ w and of the quotient, so no
+        # rounded up past the rounding of w . w and of the quotient, so no
         # breakpoint below the exact bound is dropped
-        q = math.sqrt(float(w @ w)) / math.sqrt(R)
+        q = math.sqrt(float(w.dot(w))) / math.sqrt(R)
         ub = q * (1.0 + (w.size + 4) * _EPS) - alpha
         on = sgn - a
         on /= s
@@ -290,7 +292,7 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
         else:
             w0[crossed] = w_on[:k]
             z0[crossed] = 0.0
-        N, S = float(w0 @ w0), float(z0 @ z0)
+        N, S = float(w0.dot(w0)), float(z0.dot(z0))
     if not R - S > 0.0:
         raise SubsolverError(
             f"ball prox root lost to cancellation: R = {R:.3e} does not "
@@ -354,7 +356,7 @@ def prox_l1_ball(p: BallProxProblem) -> BallProxSolution:
         )
     x = _ball_x_of_mu(a, s, alpha, mu)
     d = x - s
-    phi = float(d @ d) - R
+    phi = float(d.dot(d)) - R
     if not math.isfinite(phi):
         raise SubsolverError(f"ball prox point overflowed at mu = {mu:.6e}")
     tol_phi = _BALL_TOL * max(R, 1.0)
