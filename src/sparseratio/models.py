@@ -88,10 +88,11 @@ _FEAS_TOL = 1e-10
 
 def _float_array(v, name: str, copy: bool | None = None) -> np.ndarray:
     """np.array(v, dtype=float, copy=copy); a value float() cannot read (a
-    JSON object, say) raises ValueError naming name, not TypeError."""
+    JSON object, or an integer beyond the float range) raises ValueError
+    naming name, not TypeError or OverflowError."""
     try:
         return np.array(v, dtype=float, copy=copy)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 
 

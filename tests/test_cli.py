@@ -742,6 +742,8 @@ _FAULTS = {
                           ("x_orig", ["x_orig"]),
                           ("noise", ["noise_record", "epsilon"])]},
     "object-in-b": _edit(lambda doc: doc.update(b=[{}])),
+    # an integer float() cannot hold raises OverflowError
+    "huge-int-x_orig": _edit(lambda doc: _set(doc, ["x_orig", 0], 10**400)),
     "unknown-variant": _edit(lambda doc: doc["model"].update(variant="huber")),
     "list-variant": _edit(lambda doc: doc["model"].update(variant=["huber"])),
     "unknown-gen_spec-field": _edit(lambda doc: doc["gen_spec"].update(
