@@ -17,9 +17,10 @@ the sweep crosses both breakpoints of most of them.
 The trial case times the first 200 trial problems of the
 cauchy_two_stage_n640 workload's seed-0 instance (cauchy n=640, m=180,
 k=20; perfbench/workloads.py), recorded from its two_stage solve as
-run_mba builds them; one round solves all 200. Most of its calls keep
-about a third of their breakpoints and find the root in the first quarter
-of those, which the synthetic cases do not resemble.
+run_mba builds them; one round solves all 200. These are early
+warm-stage calls: the median one keeps 326 breakpoints below its bound and
+crosses 266 of them before its root, which the synthetic cases do not
+resemble.
 
 Each affine case is the first prox of run_algorithm1 (alpha = 1, fixed
 tolerance and cap) from the least-norm start on a noiseless instance: a
