@@ -175,19 +175,19 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     is subtracted: negation is exact, so this is the same sum of the
     negated changes.
 
-    N and S of the root's segment are then summed directly (see below).
-    Where no coordinate starts active on the far side, each crossed
-    coordinate has turned active with sigma_i = sign(s_i), so the arrays
-    of the sums at mu = 0 are patched on the crossed coordinates alone:
-    (u_i - sigma_i) times the activity is u_i - sign(s_i) there, the
-    value its change to N squares, and s_i masked is 0. The other entries
-    are those the sums would be rebuilt from, so the dot products, and
-    their bits, are the same.
+    N and S of the root's segment are then summed directly (see below),
+    from the arrays of the sums at mu = 0 patched on the crossed
+    coordinates alone. A crossed coordinate whose on breakpoint was
+    crossed is active with sigma_i = sign(s_i): its entry of
+    (u_i - sigma_i) times the activity is u_i - sign(s_i), the value its
+    change to N squares, and s_i masked is 0. One crossed at its off
+    breakpoint only is inactive: 0 and s_i. The other entries are those
+    the sums would be rebuilt from, and a 0 of either sign squares to +0,
+    so the dot products, and their bits, are those of a rebuild.
     """
     u = alpha * s  # then a - alpha s, written over it
     np.subtract(a, u, out=u)
     sgn = np.sign(s)
-    sigma0 = np.sign(a)
     t = sgn * a
     # the state just right of mu = 0: a coordinate with |a_i| = 1 turns
     # active at once if a_i + mu s_i grows in magnitude
@@ -197,7 +197,7 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     # zeros, which squares away. x.dot(x) is the BLAS dot product that
     # x @ x calls, so the same bits, without matmul's dispatch; it is used
     # for every dot product of the ball prox.
-    w0 = u - sigma0
+    w0 = u - np.sign(a)  # sigma_i = sign(a_i) at mu = 0
     w0 *= active0
     z0 = np.where(active0, 0.0, s)
     N0, S0 = float(w0.dot(w0)), float(z0.dot(z0))
@@ -279,19 +279,21 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     # S0.
     N, S = N0, S0
     if k > 0:
-        crossed = coord[:k]
+        crossed, w_k = coord[:k], w_on[:k]
         if deact.size:
-            # a coordinate that turns inactive turns active again at a
-            # later breakpoint; after any crossing its sign is sign(s_i)
-            active0[crossed] = False
-            active0[crossed[order[:k] < n_on]] = True
-            sigma0[crossed] = sgn[crossed]
-            np.subtract(u, sigma0, out=w0)
-            w0 *= active0
-            z0 = np.where(active0, 0.0, s)
-        else:
-            w0[crossed] = w_on[:k]
-            z0[crossed] = 0.0
+            # a coordinate crossed only at its off breakpoint ends inactive;
+            # one whose on breakpoint is crossed ends active, even if its
+            # off breakpoint was crossed too, so the off crossings are
+            # written first (a scatter with a repeated index leaves either
+            # value) and left out of the on crossings' scatter
+            at_off = order[:k] >= n_on
+            off_c = crossed[at_off]
+            w0[off_c] = 0.0
+            z0[off_c] = s[off_c]
+            turned_on = ~at_off
+            crossed, w_k = crossed[turned_on], w_k[turned_on]
+        w0[crossed] = w_k
+        z0[crossed] = 0.0
         N, S = float(w0.dot(w0)), float(z0.dot(z0))
     if not R - S > 0.0:
         raise SubsolverError(

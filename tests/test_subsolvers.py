@@ -473,9 +473,14 @@ class TestExactBallSolve:
     @example(BallProxProblem(c=[2.0], s=[2.2e-313], R=0.5, alpha=1.0))
     # coordinate 2 starts active on the far side (sign(s_2) alpha c_2 =
     # -1.25), turns inactive at 1/3 and active again at 3, both below the
-    # root 3.5; the rebuild of the segment sums runs
+    # root 3.5; the sums are patched for a coordinate crossed at both
+    # breakpoints
     @example(BallProxProblem(c=[3.0, 0.5, -1.25], s=[-0.5, 1.0, 0.75],
                              R=0.8641975308641977, alpha=1.0))
+    # coordinate 0 starts active on the far side and turns inactive at 1,
+    # below the root 2; its on breakpoint 3 is not crossed, so it ends
+    # inactive
+    @example(BallProxProblem(c=[-2.0, 0.5], s=[1.0, 1.0], R=1.25, alpha=1.0))
     # the root 2 lies past the last kept breakpoint 0.5, and the bound
     # (about 3.24) drops the breakpoint 5e5, which ends the root's segment
     @example(BallProxProblem(c=[0.5, 0.5], s=[1.0, 1e-6], R=0.250000000001,
