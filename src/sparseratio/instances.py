@@ -362,7 +362,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     version = _json_object(doc, "instance").get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
-    entries = _float_array(doc["matrix"], "matrix", copy=True)
+    entries = _float_array(doc["matrix"], "matrix")
     entries.flags.writeable = False
     A = SensingMatrix(entries)
     # the model's constructor reads b through models._as_vector

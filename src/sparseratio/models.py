@@ -86,12 +86,12 @@ _MIN_PIVOT_SQ = float(np.finfo(float).tiny / np.finfo(float).eps)
 _FEAS_TOL = 1e-10
 
 
-def _float_array(v, name: str, copy: bool | None = None) -> np.ndarray:
-    """np.array(v, dtype=float, copy=copy); a value float() cannot read (a
-    JSON object, or an integer beyond the float range) raises ValueError
-    naming name, not TypeError or OverflowError."""
+def _float_array(v, name: str) -> np.ndarray:
+    """np.asarray(v, dtype=float); a value float() cannot read (a JSON
+    object, or an integer beyond the float range) raises ValueError naming
+    name, not TypeError or OverflowError."""
     try:
-        return np.array(v, dtype=float, copy=copy)
+        return np.asarray(v, dtype=float)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 
