@@ -188,6 +188,7 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     u = alpha * s  # then a - alpha s, written over it
     np.subtract(a, u, out=u)
     sgn = np.sign(s)
+    sigma0 = np.sign(a)
     t = sgn * a
     # the state just right of mu = 0: a coordinate with |a_i| = 1 turns
     # active at once if a_i + mu s_i grows in magnitude
@@ -197,7 +198,7 @@ def _ball_multiplier(a, s, R, alpha) -> float | None:
     # zeros, which squares away. x.dot(x) is the BLAS dot product that
     # x @ x calls, so the same bits, without matmul's dispatch; it is used
     # for every dot product of the ball prox.
-    w0 = u - np.sign(a)  # sigma_i = sign(a_i) at mu = 0
+    w0 = u - sigma0
     w0 *= active0
     z0 = np.where(active0, 0.0, s)
     N0, S0 = float(w0.dot(w0)), float(z0.dot(z0))
